@@ -88,12 +88,9 @@ Platform::Platform(const PlatformConfig &config)
     // reaps the metadata completion ring straight from host memory,
     // all with zero staging copies. Backing pages are lazily
     // faulted, so untouched window space costs nothing.
-    if (config_.pinDmaWindows) {
-        mem_.pinRange(mm::kBounceH2d.base, mm::kBounceH2d.size);
-        mem_.pinRange(mm::kBounceD2h.base, mm::kBounceD2h.size);
-        mem_.pinRange(mm::kMetadataBuffer.base,
-                      mm::kMetadataBuffer.size);
-    }
+    mem_.pinRange(mm::kBounceH2d.base, mm::kBounceH2d.size);
+    mem_.pinRange(mm::kBounceD2h.base, mm::kBounceD2h.size);
+    mem_.pinRange(mm::kMetadataBuffer.base, mm::kMetadataBuffer.size);
     buildTopology();
 }
 
@@ -809,21 +806,14 @@ Platform::exportMetricsJson(bool includeWall)
             json.field("parallel_batches", pool.parallelBatches());
             json.field("inline_batches", pool.inlineBatches());
             json.field("worker_ranges", pool.workerRanges());
-            json.field("job_batches", pool.jobBatches());
-            json.field("jobs_executed", pool.jobsExecuted());
-            json.field("completion_high_watermark",
-                       pool.completionHighWatermark());
-            json.key("ring_occupancy");
-            pool.ringOccupancyHistogram().writeJson(
-                json, /*withBuckets=*/false);
             json.key("queue_wait_ns");
             pool.queueWaitHistogram().writeJson(
                 json, /*withBuckets=*/false);
             json.endObject();
 
-            // Buffer-pool recycling efficiency for the staged
-            // fallback paths and TLP payload copies. Counts depend
-            // on worker interleaving, hence wall-section placement.
+            // Buffer-pool recycling efficiency for TLP payload
+            // copies. Counts depend on worker interleaving, hence
+            // wall-section placement.
             BufferPool &bufs = BufferPool::global();
             json.key("buffer_pool");
             json.beginObject();

@@ -88,13 +88,6 @@ struct PlatformConfig
      */
     std::uint32_t maxTenants = 1;
     /**
-     * Pin the bounce/metadata DMA windows as contiguous arenas (the
-     * zero-copy fast path). Off models a host without pinnable DMA
-     * memory: the data plane falls back to staged per-chunk copies,
-     * counted by h2d_stage_copies / d2h_stage_copies.
-     */
-    bool pinDmaWindows = true;
-    /**
      * Watchdog / crash-recovery tuning. Secure platforms build a
      * RecoveryManager wired to the PCIe-SC heartbeat, the xPU status
      * probe and the HRoT keep-alive; vanilla platforms have no

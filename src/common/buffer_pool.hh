@@ -2,10 +2,9 @@
  * @file
  * Size-classed buffer pool for the secure data plane's hot paths.
  *
- * Chunk staging, D2H ciphertext reads, and TLP payload copies all
- * want a few-KiB-to-few-hundred-KiB scratch vector per packet; left
- * to the general allocator that is one malloc/free pair per packet
- * on the wall-clock critical path. The pool keeps per-size-class
+ * TLP payload copies want a few-KiB-to-few-hundred-KiB scratch
+ * vector per packet; left to the general allocator that is one
+ * malloc/free pair per packet on the wall-clock critical path. The pool keeps per-size-class
  * free lists of retired vectors and hands them back with their
  * capacity intact, so steady-state traffic recycles a small working
  * set instead of allocating.

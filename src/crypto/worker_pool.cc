@@ -64,56 +64,28 @@ WorkerPool::workerLoop(Worker &w)
         {
             std::unique_lock<std::mutex> lock(w.mutex);
             w.cv.wait(lock, [&] {
-                return !w.ring.empty() ||
+                return !w.queue.empty() ||
                        stopping_.load(std::memory_order_relaxed);
             });
-            if (w.ring.empty())
+            if (w.queue.empty())
                 return; // stopping
-            task = w.ring.front();
-            w.ring.erase(w.ring.begin());
+            task = w.queue.front();
+            w.queue.erase(w.queue.begin());
             w.queueWaitNs.sample(static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     std::chrono::steady_clock::now() - task.enqueued)
                     .count()));
         }
-        if (task.jobs != nullptr) {
-            // runJobs lane: claim from the shared submission cursor
-            // until it runs dry, then retire the lane.
-            JobBatch &jobs = *task.jobs;
-            jobLane(jobs);
-            workerRanges_.fetch_add(1, std::memory_order_relaxed);
-            if (jobs.pendingLanes.fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-                std::lock_guard<std::mutex> lock(jobs.doneMutex);
-                jobs.doneCv.notify_all();
-            }
-            continue;
-        }
         runRange(task);
         workerRanges_.fetch_add(1, std::memory_order_relaxed);
+        // Decrement and notify under the batch mutex: the caller can
+        // only observe zero once this lock is released, and after
+        // that this thread never touches the batch (which lives on
+        // the caller's stack) again.
         Batch &batch = *task.batch;
-        if (batch.pendingRanges.fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
-            std::lock_guard<std::mutex> lock(batch.doneMutex);
+        std::lock_guard<std::mutex> lock(batch.doneMutex);
+        if (--batch.pendingRanges == 0)
             batch.doneCv.notify_all();
-        }
-    }
-}
-
-void
-WorkerPool::jobLane(JobBatch &jobs)
-{
-    for (;;) {
-        std::size_t i =
-            jobs.next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= jobs.n)
-            return;
-        (*jobs.fn)(i);
-        jobsExecuted_.fetch_add(1, std::memory_order_relaxed);
-        // The ring is sized >= n, so a push can only transiently
-        // fail while another producer is mid-publish.
-        while (!jobs.completions->tryPush(i))
-            std::this_thread::yield();
     }
 }
 
@@ -140,21 +112,16 @@ WorkerPool::parallelFor(std::size_t n, int width,
     ++parallelBatches_;
     Batch batch;
     batch.fn = &fn;
-    batch.pendingRanges.store(lanes - 1, std::memory_order_relaxed);
+    batch.pendingRanges = lanes - 1;
 
     // Contiguous split; lane 0 stays on the caller. Lane k always
-    // maps to ring (k-1) % workers so the decomposition — and with
+    // maps to worker (k-1) % workers so the decomposition — and with
     // it every per-index result — is a pure function of (n, width).
-    std::vector<Task> mine;
-    for (std::size_t k = 0; k < lanes; ++k) {
+    for (std::size_t k = 1; k < lanes; ++k) {
         Task task;
         task.batch = &batch;
         task.begin = n * k / lanes;
         task.end = n * (k + 1) / lanes;
-        if (k == 0) {
-            mine.push_back(task);
-            continue;
-        }
         std::size_t widx =
             (k - 1) % static_cast<std::size_t>(maxWorkers_);
         ensureWorker(widx);
@@ -162,110 +129,18 @@ WorkerPool::parallelFor(std::size_t n, int width,
         {
             std::lock_guard<std::mutex> lock(w.mutex);
             task.enqueued = std::chrono::steady_clock::now();
-            w.ring.push_back(task);
+            w.queue.push_back(task);
         }
         w.cv.notify_one();
     }
 
-    runRange(mine.front());
+    Task mine;
+    mine.batch = &batch;
+    mine.end = n / lanes;
+    runRange(mine);
 
     std::unique_lock<std::mutex> lock(batch.doneMutex);
-    batch.doneCv.wait(lock, [&] {
-        return batch.pendingRanges.load(std::memory_order_acquire) ==
-               0;
-    });
-}
-
-void
-WorkerPool::runJobs(std::size_t n, int width,
-                    const std::function<void(std::size_t)> &fn,
-                    const std::function<void(std::size_t)> &commit)
-{
-    std::size_t lanes = static_cast<std::size_t>(std::max(1, width));
-    lanes = std::min(lanes, n);
-    if (lanes <= 1) {
-        ++inlineBatches_;
-        for (std::size_t i = 0; i < n; ++i) {
-            fn(i);
-            commit(i);
-        }
-        return;
-    }
-
-    ++jobBatches_;
-    MpmcRing<std::size_t> completions(n);
-    JobBatch jobs;
-    jobs.fn = &fn;
-    jobs.n = n;
-    jobs.completions = &completions;
-
-    // Caller is one lane; the rest go to the worker rings. Lane
-    // placement only affects wall-clock scheduling: job claim order
-    // comes off one shared cursor and commit order is forced below,
-    // so results are a pure function of n — not of width or timing.
-    std::size_t workerLanes =
-        std::min(lanes - 1, static_cast<std::size_t>(maxWorkers_));
-    jobs.pendingLanes.store(workerLanes, std::memory_order_relaxed);
-    for (std::size_t k = 0; k < workerLanes; ++k) {
-        ensureWorker(k);
-        Worker &w = *workers_[k];
-        Task task;
-        task.jobs = &jobs;
-        {
-            std::lock_guard<std::mutex> lock(w.mutex);
-            task.enqueued = std::chrono::steady_clock::now();
-            w.ring.push_back(task);
-        }
-        w.cv.notify_one();
-    }
-
-    // Caller lane: interleave claiming jobs with reaping and ordered
-    // commit, so the serial stage overlaps the parallel one instead
-    // of waiting behind a barrier.
-    std::vector<bool> done(n, false);
-    std::size_t nextCommit = 0;
-    auto reap = [&] {
-        std::size_t drained = 0;
-        std::size_t idx;
-        while (completions.tryPop(idx)) {
-            done[idx] = true;
-            ++drained;
-        }
-        if (drained > 0)
-            ringOccupancy_.sample(drained);
-        while (nextCommit < n && done[nextCommit])
-            commit(nextCommit++);
-    };
-
-    for (;;) {
-        std::size_t i =
-            jobs.next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= jobs.n)
-            break;
-        fn(i);
-        jobsExecuted_.fetch_add(1, std::memory_order_relaxed);
-        while (!completions.tryPush(i))
-            std::this_thread::yield();
-        reap();
-    }
-    while (nextCommit < n) {
-        reap();
-        if (nextCommit < n)
-            std::this_thread::yield();
-    }
-
-    // Workers may still be between their last push and retiring the
-    // lane; they touch the batch until pendingLanes hits zero, so
-    // the stack frame must not unwind before that.
-    if (workerLanes > 0) {
-        std::unique_lock<std::mutex> lock(jobs.doneMutex);
-        jobs.doneCv.wait(lock, [&] {
-            return jobs.pendingLanes.load(
-                       std::memory_order_acquire) == 0;
-        });
-    }
-    completionHighWater_ =
-        std::max(completionHighWater_, completions.highWatermark());
+    batch.doneCv.wait(lock, [&] { return batch.pendingRanges == 0; });
 }
 
 obs::Histogram
@@ -285,10 +160,6 @@ WorkerPool::resetStats()
     parallelBatches_ = 0;
     inlineBatches_ = 0;
     workerRanges_ = 0;
-    jobBatches_ = 0;
-    jobsExecuted_ = 0;
-    completionHighWater_ = 0;
-    ringOccupancy_.reset();
     for (const auto &w : workers_) {
         std::lock_guard<std::mutex> lock(w->mutex);
         w->queueWaitNs.reset();

@@ -27,21 +27,20 @@
 #include <thread>
 #include <vector>
 
-#include "common/ring.hh"
 #include "obs/stats.hh"
 
 namespace ccai::crypto
 {
 
 /**
- * A pool of wall-clock worker threads with per-worker task rings.
+ * A pool of wall-clock worker threads with per-worker task queues.
  *
  * Threads are spawned lazily on the first dispatch that needs them
  * and joined in the destructor. Width (how many lanes a batch is
  * split into) is decoupled from the worker count: when a batch asks
- * for more lanes than there are workers, the extra ranges queue in
- * the rings and drain in order, so `width` is purely a decomposition
- * parameter — results never depend on the physical core count.
+ * for more lanes than there are workers, the extra ranges queue and
+ * drain in order, so `width` is purely a decomposition parameter —
+ * results never depend on the physical core count.
  */
 class WorkerPool
 {
@@ -56,35 +55,15 @@ class WorkerPool
     /**
      * Run @p fn(i) for every i in [0, n), decomposed into @p width
      * contiguous index ranges. Lane 0 executes on the calling thread;
-     * lanes 1..width-1 are pushed to the worker rings. Blocks until
-     * all n indices completed. width <= 1 (or n <= 1) runs inline
-     * with no pool interaction at all.
+     * lanes 1..width-1 are queued to the workers. Blocks until all n
+     * indices completed. width <= 1 (or n <= 1) runs inline with no
+     * pool interaction at all.
      *
      * @p fn must only touch per-index state (disjoint output slots);
      * shared mutation belongs in the serial commit after the call.
      */
     void parallelFor(std::size_t n, int width,
                      const std::function<void(std::size_t)> &fn);
-
-    /**
-     * io_uring-style submission/completion dispatch: @p n independent
-     * jobs are claimed lock-free from a shared submission cursor by
-     * up to @p width lanes (the caller plus worker threads), each
-     * finished job is pushed to a bounded MPSC completion ring, and
-     * the caller reaps completions and invokes @p commit(i) in strict
-     * index order 0,1,...,n-1 regardless of completion order. Blocks
-     * until every job is committed.
-     *
-     * Compared to parallelFor, jobs are not pre-partitioned: a slow
-     * chunk does not stall its lane's remaining work, and commit
-     * (the serial, order-sensitive stage) overlaps with in-flight
-     * crypto instead of waiting for a full barrier. @p fn must only
-     * touch per-job state; @p commit runs on the calling thread only
-     * and may touch shared state.
-     */
-    void runJobs(std::size_t n, int width,
-                 const std::function<void(std::size_t)> &fn,
-                 const std::function<void(std::size_t)> &commit);
 
     int maxWorkers() const { return maxWorkers_; }
     /** Threads actually spawned so far. */
@@ -96,28 +75,9 @@ class WorkerPool
     std::uint64_t inlineBatches() const { return inlineBatches_; }
     /** Index ranges executed on worker threads. */
     std::uint64_t workerRanges() const { return workerRanges_; }
-    /** runJobs dispatches that used the completion ring. */
-    std::uint64_t jobBatches() const { return jobBatches_; }
-    /** Jobs executed through runJobs (any thread). */
-    std::uint64_t jobsExecuted() const { return jobsExecuted_; }
-    /** Peak completion-ring occupancy across all runJobs calls. */
-    std::uint64_t completionHighWatermark() const
-    {
-        return completionHighWater_;
-    }
 
     /**
-     * Completion-ring occupancy sampled at each reap (how many
-     * finished descriptors were waiting when the caller drained).
-     * Caller-thread data, like the batch counters.
-     */
-    const obs::Histogram &ringOccupancyHistogram() const
-    {
-        return ringOccupancy_;
-    }
-
-    /**
-     * Wall-clock nanoseconds a task range waited in a worker ring
+     * Wall-clock nanoseconds a task range waited in a worker queue
      * before a thread picked it up, merged across every worker's
      * private histogram on demand. Wall-clock data: report it in a
      * separate section from deterministic sim metrics — it varies
@@ -126,7 +86,7 @@ class WorkerPool
     obs::Histogram queueWaitHistogram() const;
 
     /**
-     * Zero every batch/job counter and histogram. Benches call this
+     * Zero every batch counter and histogram. Benches call this
      * between sweep points so each width's samples stand alone. Only
      * call from the dispatching thread with no batch in flight.
      */
@@ -143,53 +103,34 @@ class WorkerPool
     static int defaultWorkerCount();
 
   private:
-    struct Batch;
-    struct JobBatch;
-
-    /** One contiguous index range of a batch, or (when `jobs` is
-     * set) one claiming lane of a runJobs dispatch. */
-    struct Task
-    {
-        Batch *batch = nullptr;
-        JobBatch *jobs = nullptr;
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        /** Ring-push time for the queue-wait histogram. */
-        std::chrono::steady_clock::time_point enqueued{};
-    };
-
-    /** Shared state of one parallelFor dispatch. */
+    /** Shared state of one parallelFor dispatch; lives on the
+     * caller's stack until every worker range has retired. */
     struct Batch
     {
         const std::function<void(std::size_t)> *fn = nullptr;
-        std::atomic<std::size_t> pendingRanges{0};
         std::mutex doneMutex;
+        /** Worker ranges still running; guarded by `doneMutex`. */
+        std::size_t pendingRanges = 0;
         std::condition_variable doneCv;
     };
 
-    /** Shared state of one runJobs dispatch: the lock-free
-     * submission cursor plus the MPSC completion ring. */
-    struct JobBatch
+    /** One contiguous index range of a batch. */
+    struct Task
     {
-        const std::function<void(std::size_t)> *fn = nullptr;
-        std::size_t n = 0;
-        /** Submission cursor: lanes claim jobs with fetch_add. */
-        std::atomic<std::size_t> next{0};
-        /** Finished job indices; sized >= n so pushes never block. */
-        MpmcRing<std::size_t> *completions = nullptr;
-        /** Worker lanes still claiming (caller must outlive them). */
-        std::atomic<std::size_t> pendingLanes{0};
-        std::mutex doneMutex;
-        std::condition_variable doneCv;
+        Batch *batch = nullptr;
+        std::size_t begin = 0;
+        std::size_t end = 0;
+        /** Enqueue time for the queue-wait histogram. */
+        std::chrono::steady_clock::time_point enqueued{};
     };
 
-    /** A worker thread and its bounded task ring. */
+    /** A worker thread and its FIFO of pending ranges. */
     struct Worker
     {
         std::thread thread;
         std::mutex mutex;
         std::condition_variable cv;
-        std::vector<Task> ring; ///< FIFO; bounded by width per batch
+        std::vector<Task> queue; ///< FIFO; guarded by `mutex`
         bool started = false;
         /** Queue-wait samples (ns); guarded by `mutex`. */
         obs::Histogram queueWaitNs;
@@ -198,8 +139,6 @@ class WorkerPool
     void ensureWorker(std::size_t index);
     void workerLoop(Worker &w);
     static void runRange(const Task &task);
-    /** Claim-execute-complete loop shared by workers and caller. */
-    void jobLane(JobBatch &jobs);
 
     int maxWorkers_;
     std::vector<std::unique_ptr<Worker>> workers_;
@@ -208,10 +147,6 @@ class WorkerPool
     std::uint64_t parallelBatches_ = 0; ///< dispatch-side, caller thread
     std::uint64_t inlineBatches_ = 0;
     std::atomic<std::uint64_t> workerRanges_{0};
-    std::uint64_t jobBatches_ = 0; ///< dispatch-side, caller thread
-    std::atomic<std::uint64_t> jobsExecuted_{0};
-    std::uint64_t completionHighWater_ = 0;
-    obs::Histogram ringOccupancy_; ///< caller-thread reap samples
 };
 
 } // namespace ccai::crypto

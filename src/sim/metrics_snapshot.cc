@@ -1,6 +1,6 @@
 /**
  * @file
- * Generic schema-v4 metrics snapshot: header, event-core rollup,
+ * Generic schema-v5 metrics snapshot: header, event-core rollup,
  * metric groups, pluggable tenants/extra sections.
  */
 
@@ -18,7 +18,7 @@ writeMetricsSnapshot(obs::JsonEmitter &json, System &sys,
                      const SnapshotSectionWriter &extraSections)
 {
     json.beginObject();
-    json.field("schema_version", 4);
+    json.field("schema_version", 5);
     json.field("source", info.source);
     json.field("seed", info.seed);
     json.field("sim_now_ticks", sys.now());

@@ -1,6 +1,6 @@
 /**
  * @file
- * System-generic metrics snapshot writer (metrics schema_version 4).
+ * System-generic metrics snapshot writer (metrics schema_version 5).
  *
  * Historically Platform::exportMetricsJson() was the only producer of
  * the machine-readable metrics snapshot; the serving control plane

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/buffer_pool.hh"
 #include "common/bytes_util.hh"
 #include "common/logging.hh"
 #include "crypto/worker_pool.hh"
@@ -35,8 +34,8 @@ Adaptor::Handles::Handles(sim::StatGroup &g)
           g.counterHandle("d2h_integrity_failures")),
       d2hChunkRetries(g.counterHandle("d2h_chunk_retries")),
       tasksEnded(g.counterHandle("tasks_ended")),
-      h2dStageCopies(g.counterHandle("h2d_stage_copies")),
-      d2hStageCopies(g.counterHandle("d2h_stage_copies")),
+      d2hBadRecords(g.counterHandle("d2h_bad_records")),
+      metaRingBadTail(g.counterHandle("meta_ring_bad_tail")),
       metaRingOccupancy(
           g.histogramHandle("meta_ring_occupancy")),
       cpuQueueTicks(g.histogramHandle("cpu_queue_ticks")),
@@ -351,9 +350,10 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
     // SC-terminated traffic (KV-cache swapping) never exists as TVM
     // plaintext: the PCIe-SC en/decrypts it at line rate and the
     // Adaptor only manages records, so no CPU crypto is charged.
-    // Chunk bookkeeping and staging ride the crypto worker lanes, so
-    // the per-chunk setup amortizes across cryptoThreads like the
-    // crypto itself; only the serial notify path stays per-thread.
+    // Chunk bookkeeping and the arena copy ride the crypto worker
+    // lanes, so the per-chunk setup amortizes across cryptoThreads
+    // like the crypto itself; only the serial notify path stays
+    // per-thread.
     const int width = std::max(1, config_.cryptoThreads);
     Tick cpu = timing_.perChunkSetup * chunks / width;
     if (!scTerminated)
@@ -374,12 +374,9 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
         // count: (1) serial record build — nextIv() draws and epoch
         // rotation must happen in chunkId order, and cipherCached()
         // may construct (sharded-cache fill), so both stay on the
-        // sim thread; (2) parallel seal. When the bounce window is
-        // pinned the plaintext is copied once into the DMA arena and
-        // sealed IN PLACE there — zero staging copies; otherwise a
-        // pooled staging buffer per chunk is sealed and committed
-        // through HostMemory::write (counted by h2d_stage_copies).
-        // Seal order never matters: every IV is pre-drawn and every
+        // sim thread; (2) parallel seal: the plaintext is copied once
+        // into the pinned DMA arena and sealed IN PLACE there. Seal
+        // order never matters: every IV is pre-drawn and every
         // output slot is disjoint, so tags are bit-identical at any
         // width and any completion order.
         std::vector<ChunkRecord> records;
@@ -411,66 +408,26 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
             off += take;
         }
 
-        if (data) {
+        if (data && !records.empty()) {
             const int width = std::max(1, config_.cryptoThreads);
             crypto::WorkerPool &pool = crypto::WorkerPool::shared();
             std::uint8_t *arena = tvm_.memory().raw(bounce, length);
-            if (arena && records.size() == 1) {
-                // Single chunk in the pinned window: parallelize
-                // inside the payload via the segmented-GHASH seal
-                // (bit-identical tag).
-                std::memcpy(arena, data->data(), length);
-                ciphers[0]->sealInPlace(
-                    records[0].iv, arena, length, nullptr, 0,
-                    records[0].tag.data(), pool, width);
-            } else if (arena) {
-                pool.runJobs(
-                    records.size(), width,
-                    [&](std::size_t i) {
-                        ChunkRecord &rec = records[i];
-                        std::uint64_t o = rec.addr - bounce;
-                        std::memcpy(arena + o, data->data() + o,
-                                    rec.length);
-                        ciphers[i]->sealInPlace(
-                            rec.iv, arena + o, rec.length, nullptr,
-                            0, rec.tag.data());
-                    },
-                    [](std::size_t) {});
-            } else {
-                // Staged fallback for unpinned windows (raw unit
-                // fixtures): pooled buffers plus a serial commit
-                // through the sparse-page store.
-                std::vector<Bytes> staged;
-                staged.reserve(records.size());
-                for (const ChunkRecord &rec : records) {
-                    Bytes chunk =
-                        BufferPool::global().acquire(rec.length);
-                    std::memcpy(chunk.data(),
-                                data->data() + (rec.addr - bounce),
-                                rec.length);
-                    staged.push_back(std::move(chunk));
-                }
-                if (staged.size() == 1) {
-                    ciphers[0]->sealInPlace(
-                        records[0].iv, staged[0].data(),
-                        staged[0].size(), nullptr, 0,
-                        records[0].tag.data(), pool, width);
-                } else {
-                    pool.parallelFor(
-                        staged.size(), width, [&](std::size_t i) {
-                            ciphers[i]->sealInPlace(
-                                records[i].iv, staged[i].data(),
-                                staged[i].size(), nullptr, 0,
-                                records[i].tag.data());
-                        });
-                }
-                for (std::size_t i = 0; i < staged.size(); ++i) {
-                    tvm_.memory().write(records[i].addr, staged[i]);
-                    BufferPool::global().release(
-                        std::move(staged[i]));
-                }
-                s_.h2dStageCopies.inc(records.size());
-            }
+            if (!arena)
+                fatal("Adaptor: %llu-byte payload does not fit the "
+                      "pinned H2D window",
+                      (unsigned long long)length);
+            // Several chunks spread across the lanes; a single one
+            // parallelizes inside the payload instead (segmented-
+            // GHASH seal, bit-identical tag).
+            const int inner = records.size() == 1 ? width : 1;
+            pool.parallelFor(records.size(), width, [&](std::size_t i) {
+                ChunkRecord &rec = records[i];
+                std::uint64_t o = rec.addr - bounce;
+                std::memcpy(arena + o, data->data() + o, rec.length);
+                ciphers[i]->sealInPlace(rec.iv, arena + o, rec.length,
+                                        nullptr, 0, rec.tag.data(),
+                                        pool, inner);
+            });
         }
         s_.h2dChunks.inc(chunks);
         s_.h2dBytes.inc(length);
@@ -573,7 +530,24 @@ Adaptor::fetchForCollect(std::shared_ptr<CollectState> st)
             else
                 uniq.push_back(std::move(rec));
         }
-        st->recs = std::move(uniq);
+        // The records come from host-writable memory (or an MMIO
+        // completion), so their lengths are untrusted: keep a record
+        // only if it lies inside the transfer and starts at or after
+        // the previous kept record's end. Anything else would make
+        // the in-place open write past the output buffer, or two
+        // lanes write the same bytes. A rejected record counts as
+        // missing, so coverage and re-fetch handle it.
+        const Addr end = st->bounceAddr + st->length;
+        Addr next = st->bounceAddr;
+        st->recs.clear();
+        for (ChunkRecord &rec : uniq) {
+            if (rec.addr < next || rec.length > end - rec.addr) {
+                s_.d2hBadRecords.inc();
+                continue;
+            }
+            next = rec.addr + rec.length;
+            st->recs.push_back(std::move(rec));
+        }
 
         if (!retryEnabled() || coverageComplete(*st) ||
             st->fetchAttempts >= config_.retry.maxReadRetries) {
@@ -599,9 +573,7 @@ Adaptor::fetchForCollect(std::shared_ptr<CollectState> st)
     };
 
     if (config_.batchMetadataReads) {
-        std::uint64_t chunks =
-            (st->length + config_.chunkBytes - 1) / config_.chunkBytes;
-        fetchRecordsBatched(chunks, std::move(handle));
+        fetchRecordsBatched(std::move(handle));
     } else {
         fetchRecordsMmio(std::move(handle));
     }
@@ -660,28 +632,27 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
 {
     if (st->epoch != sessionEpoch_ || !keys_)
         return; // session died under this collection (crash recovery)
-    if (st->ok.empty() && !st->recs.empty()) {
+    if (st->ok.empty() && !st->recs.empty())
         st->ok.assign(st->recs.size(), 0);
-        st->plain.resize(st->recs.size());
-    }
     std::vector<std::uint64_t> failed;
-    if (!st->synthetic && !st->scTerminated) {
-        // Submission/completion open, mirroring prepareH2d: serial
-        // cipher fetch (the sharded epoch cache may fill), then the
-        // verify+decrypt jobs are claimed lock-free and their
-        // results committed in strict record order — stats,
-        // warnings, and the failed list are identical at any thread
-        // count and any completion order. When the bounce window is
-        // pinned, each record's ciphertext moves once from the DMA
+    if (!st->synthetic && !st->scTerminated && !st->recs.empty()) {
+        // Open mirrors prepareH2d: serial cipher fetch (the sharded
+        // epoch cache may fill), then parallel verify+decrypt, then
+        // a serial commit in strict record order — stats, warnings,
+        // and the failed list are identical at any thread count.
+        // Each record's ciphertext moves once from the pinned DMA
         // arena into its final offset in the output buffer and is
-        // opened IN PLACE there (the modeled bounce->private copy;
-        // zero staging copies). Unpinned windows fall back to a
-        // staged read per record (d2h_stage_copies).
+        // opened IN PLACE there (the modeled bounce->private copy).
+        // The claimed records are disjoint and inside the transfer
+        // (fetchForCollect), so no two lanes write the same bytes.
         const std::uint8_t *arena =
-            st->length > 0
-                ? tvm_.memory().raw(st->bounceAddr, st->length)
-                : nullptr;
-        if (arena && st->out.empty())
+            tvm_.memory().raw(st->bounceAddr, st->length);
+        if (!arena)
+            fatal("Adaptor: %llu-byte collection at 0x%llx is outside "
+                  "the pinned D2H window",
+                  (unsigned long long)st->length,
+                  (unsigned long long)st->bounceAddr);
+        if (st->out.empty())
             st->out.resize(st->length);
         std::vector<std::size_t> pending;
         std::vector<const crypto::AesGcm *> ciphers(st->recs.size(),
@@ -689,47 +660,29 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
         for (std::size_t i = 0; i < st->recs.size(); ++i) {
             if (st->ok[i])
                 continue;
-            const ChunkRecord &rec = st->recs[i];
-            if (!arena) {
-                st->plain[i] =
-                    tvm_.memory().read(rec.addr, rec.length);
-                s_.d2hStageCopies.inc();
-            }
             ciphers[i] = &keys_->cipherCached(
-                trust::StreamDir::DeviceToHost, rec.epoch);
+                trust::StreamDir::DeviceToHost, st->recs[i].epoch);
             pending.push_back(i);
         }
         std::vector<char> okNow(st->recs.size(), 0);
         const int width = std::max(1, config_.cryptoThreads);
         crypto::WorkerPool &pool = crypto::WorkerPool::shared();
-        auto openOne = [&](std::size_t i, int lanes) {
+        // A single record parallelizes inside the payload instead.
+        const int inner = pending.size() == 1 ? width : 1;
+        pool.parallelFor(pending.size(), width, [&](std::size_t k) {
+            const std::size_t i = pending[k];
             const ChunkRecord &rec = st->recs[i];
-            std::uint8_t *ct = nullptr;
-            std::size_t len = 0;
-            if (arena) {
-                std::uint64_t o = rec.addr - st->bounceAddr;
-                ct = st->out.data() + o;
-                std::memcpy(ct, arena + o, rec.length);
-                len = rec.length;
-            } else {
-                ct = st->plain[i].data();
-                len = st->plain[i].size();
-            }
-            bool ok = rec.tag.size() == crypto::kGcmTagSize;
-            if (ok && lanes > 1) {
-                ok = ciphers[i]->openInPlace(rec.iv, ct, len,
-                                             rec.tag.data(),
-                                             nullptr, 0, pool, lanes);
-            } else if (ok) {
-                ok = ciphers[i]->openInPlace(rec.iv, ct, len,
-                                             rec.tag.data(),
-                                             nullptr, 0);
-            }
-            okNow[i] = ok ? 1 : 0;
-        };
-        auto commitOne = [&](std::size_t i) {
-            const ChunkRecord &rec = st->recs[i];
+            std::uint64_t o = rec.addr - st->bounceAddr;
+            std::uint8_t *ct = st->out.data() + o;
+            std::memcpy(ct, arena + o, rec.length);
+            okNow[i] = rec.tag.size() == crypto::kGcmTagSize &&
+                       ciphers[i]->openInPlace(rec.iv, ct, rec.length,
+                                               rec.tag.data(), nullptr,
+                                               0, pool, inner);
+        });
+        for (std::size_t i : pending) {
             if (!okNow[i]) {
+                const ChunkRecord &rec = st->recs[i];
                 s_.d2hIntegrityFailures.inc();
                 if (tracer_->enabled())
                     tracer_->instant(traceTrack(),
@@ -741,22 +694,11 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
                     name().c_str(),
                     (unsigned long long)rec.chunkId);
                 failed.push_back(rec.chunkId);
-                st->plain[i].clear(); // still ciphertext; drop it
-                return;
+                continue;
             }
             st->ok[i] = 1;
             if (attempt > 0)
                 s_.faultsRecovered.inc();
-        };
-        if (pending.size() == 1) {
-            // Single record: parallelize inside the payload.
-            openOne(pending[0], width);
-            commitOne(pending[0]);
-        } else if (!pending.empty()) {
-            pool.runJobs(
-                pending.size(), width,
-                [&](std::size_t k) { openOne(pending[k], 1); },
-                [&](std::size_t k) { commitOne(pending[k]); });
         }
     }
 
@@ -787,13 +729,12 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
 
     Bytes plaintext;
     if (!st->out.empty()) {
-        // Zero-copy path: the records opened in place at their final
-        // offsets. Steady state (every chunk verified, full
-        // coverage) hands the buffer over without touching it; the
-        // rare failure/shortfall case compacts to the same
-        // ok-chunks-only byte stream the staged path produces.
+        // The records opened in place at their final offsets. Steady
+        // state (every chunk verified, full coverage) hands the
+        // buffer over without touching it; the rare failure/shortfall
+        // case compacts to the ok-chunks-only byte stream.
         std::uint64_t okBytes = 0;
-        bool allOk = !st->recs.empty();
+        bool allOk = true;
         for (std::size_t i = 0; i < st->recs.size(); ++i) {
             if (st->ok[i])
                 okBytes += st->recs[i].length;
@@ -813,14 +754,6 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
                     st->out.begin() + o + st->recs[i].length);
             }
         }
-    } else {
-        for (std::size_t i = 0; i < st->recs.size(); ++i) {
-            if (!st->ok.empty() && st->ok[i]) {
-                plaintext.insert(plaintext.end(),
-                                 st->plain[i].begin(),
-                                 st->plain[i].end());
-            }
-        }
     }
     s_.d2hBytes.inc(st->length);
     s_.d2hCollectTicks.sample(curTick() - st->startTick);
@@ -832,10 +765,8 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
 
 void
 Adaptor::fetchRecordsBatched(
-    std::uint64_t expectChunks,
     std::function<void(std::vector<ChunkRecord>)> done)
 {
-    (void)expectChunks;
     // Flush any records still accumulating on the controller, then
     // read the ring tail (one I/O read — it doubles as the
     // round-trip sync: the completion is sequenced on the tenant ARQ
@@ -853,13 +784,20 @@ Adaptor::fetchRecordsBatched(
             const pcie::AddrRange win = config_.metaWindow;
             const std::uint64_t nslots =
                 mm::metaring::slotCount(win.size);
+            // The tail is host-influenced (a forged or short
+            // completion). Behind the head it would wrap the slot
+            // count; more than a ring ahead it would re-read
+            // recycled slots. Reap nothing and keep the head.
+            if (payload.size() < 8 || tail < metaHead_ ||
+                tail - metaHead_ > nslots) {
+                s_.metaRingBadTail.inc();
+                done({});
+                return;
+            }
             // Ring occupancy at reap time: produced-but-unconsumed
             // slots. High percentiles near nslots mean the consumer
             // is the bottleneck (producer hitting backpressure).
             s_.metaRingOccupancy.sample(tail - metaHead_);
-            // Pinned ring: deserialize from the stable arena
-            // pointer; unpinned fixtures copy each slot out of the
-            // sparse store.
             const std::uint8_t *ring =
                 tvm_.memory().raw(win.base, win.size);
             std::vector<ChunkRecord> records;
@@ -867,13 +805,8 @@ Adaptor::fetchRecordsBatched(
             for (std::uint64_t idx = metaHead_; idx < tail; ++idx) {
                 std::uint64_t off =
                     mm::metaring::slotOffset(idx, nslots);
-                Bytes slot =
-                    ring ? Bytes(ring + off,
-                                 ring + off + ChunkRecord::kWireBytes)
-                         : tvm_.memory().read(
-                               win.base + off,
-                               ChunkRecord::kWireBytes);
-                records.push_back(ChunkRecord::deserialize(slot));
+                records.push_back(ChunkRecord::deserialize(Bytes(
+                    ring + off, ring + off + ChunkRecord::kWireBytes)));
             }
 
             if (tail != metaHead_) {

@@ -237,8 +237,8 @@ class Adaptor : public sim::SimObject
         bool synthetic = false;
         bool scTerminated = false;
         DataCb done;
-        std::vector<backend::ChunkRecord> recs; ///< deduped, addr-sorted
-        std::vector<Bytes> plain; ///< per-record plaintext (staged)
+        /** Deduped, addr-sorted, disjoint and inside the transfer. */
+        std::vector<backend::ChunkRecord> recs;
         Bytes out; ///< zero-copy output (opened in place per record)
         std::vector<char> ok;              ///< per-record decrypt ok
         int fetchAttempts = 0;
@@ -277,8 +277,7 @@ class Adaptor : public sim::SimObject
 
     Addr allocBounce(pcie::AddrRange region, Addr &cursor,
                      std::uint64_t length);
-    void fetchRecordsBatched(std::uint64_t expectChunks,
-                             std::function<void(
+    void fetchRecordsBatched(std::function<void(
                                  std::vector<backend::ChunkRecord>)> done);
     void fetchRecordsMmio(std::function<void(
                               std::vector<backend::ChunkRecord>)> done);
@@ -361,10 +360,11 @@ class Adaptor : public sim::SimObject
         obs::CounterHandle d2hIntegrityFailures;
         obs::CounterHandle d2hChunkRetries;
         obs::CounterHandle tasksEnded;
-        /** Staged (non-zero-copy) payload copies: 0 in steady state
-         * when the bounce windows are pinned. */
-        obs::CounterHandle h2dStageCopies;
-        obs::CounterHandle d2hStageCopies;
+        /** Fail-closed rejections of host-influenced ring input: a
+         * D2H record outside its transfer or overlapping another,
+         * and a completion-ring tail outside [head, head + slots]. */
+        obs::CounterHandle d2hBadRecords;
+        obs::CounterHandle metaRingBadTail;
 
         /** Completion-ring occupancy (produced - consumed) sampled
          * at each batched record reap. */

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 
 #include "common/bytes_util.hh"
@@ -74,6 +75,23 @@ TEST(WorkerPool, NestedDispatchFromLaneZeroWorks)
         ++count;
     });
     EXPECT_EQ(count, 12);
+}
+
+TEST(WorkerPool, BackToBackBatchesNeverOutliveTheirCaller)
+{
+    // A batch's completion state lives on the caller's stack, so the
+    // last worker must be done with it before parallelFor returns;
+    // otherwise it touches the next call's frame (ThreadSanitizer
+    // flags the late unlock within a few thousand rounds).
+    WorkerPool pool(3);
+    for (int round = 0; round < 20000; ++round) {
+        std::array<std::atomic<int>, 4> hits{};
+        pool.parallelFor(hits.size(), 4,
+                         [&](std::size_t i) { ++hits[i]; });
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            ASSERT_EQ(hits[i], 1)
+                << "round " << round << " index " << i;
+    }
 }
 
 namespace

@@ -75,7 +75,7 @@ TEST(PlatformObservability, MetricsJsonByteIdenticalOnRerun)
     std::string two = metricsAfterRun(2);
     EXPECT_EQ(one, two);
 
-    EXPECT_NE(one.find("\"schema_version\": 4"), std::string::npos);
+    EXPECT_NE(one.find("\"schema_version\": 5"), std::string::npos);
     EXPECT_NE(one.find("\"source\": \"platform\""),
               std::string::npos);
     EXPECT_NE(one.find("\"sim_now_ticks\""), std::string::npos);
@@ -208,7 +208,7 @@ TEST(PlatformObservability, VanillaPlatformExports)
     Platform p(cfg);
     ASSERT_TRUE(p.establishTrust().ok());
     std::string json = p.exportMetricsJson(/*includeWall=*/false);
-    EXPECT_NE(json.find("\"schema_version\": 4"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 5"), std::string::npos);
     EXPECT_NE(json.find("\"secure\": false"), std::string::npos);
     // No adaptor: the tenants section is empty but present.
     EXPECT_NE(json.find("\"tenants\""), std::string::npos);

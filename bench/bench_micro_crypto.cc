@@ -2,9 +2,10 @@
  * @file
  * Google-benchmark microbenchmarks of the crypto substrate: AES
  * block throughput, AES-GCM seal/open across payload sizes, SHA-256
- * and HMAC throughput, and DH/attestation signing costs. These are
- * host-side (wall-clock) measurements of the functional crypto the
- * simulation uses — not simulated-time measurements.
+ * and HMAC throughput, the per-TLP A3 MAC, and DH/attestation signing
+ * costs. These are host-side (wall-clock) measurements of the
+ * functional crypto the simulation uses — not simulated-time
+ * measurements.
  *
  * Unless the caller passes its own --benchmark_out, results are also
  * written to BENCH_crypto.json (in the working directory) so the
@@ -17,9 +18,11 @@
 #include <cstring>
 #include <vector>
 
+#include "backend/integrity.hh"
 #include "crypto/dh.hh"
 #include "crypto/gcm.hh"
 #include "crypto/sha256.hh"
+#include "pcie/memory_map.hh"
 #include "sim/rng.hh"
 
 using namespace ccai;
@@ -94,6 +97,23 @@ BM_HmacSha256(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HmacSha256)->Range(64, 4096);
+
+/** The Adaptor's per-packet A3 cost: MAC a signed 8-byte MMIO write. */
+static void
+BM_A3Mac(benchmark::State &state)
+{
+    sim::Rng rng(8);
+    backend::SignIntegrityEngine signer;
+    signer.setKey(rng.bytes(32));
+    pcie::Tlp tlp = pcie::Tlp::makeMemWrite(
+        pcie::wellknown::kTvm, pcie::memmap::kXpuMmio.base, rng.bytes(8));
+    tlp.seqNo = 1;
+    for (auto _ : state) {
+        Bytes tag = signer.computeMac(tlp);
+        benchmark::DoNotOptimize(tag);
+    }
+}
+BENCHMARK(BM_A3Mac);
 
 static void
 BM_DhKeyExchange(benchmark::State &state)

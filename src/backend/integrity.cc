@@ -1,37 +1,53 @@
 #include "backend/integrity.hh"
 
 #include "common/bytes_util.hh"
-#include "crypto/sha256.hh"
 
 namespace ccai::backend
 {
 
+void
+SignIntegrityEngine::setKey(const Bytes &key)
+{
+    mac_ = crypto::HmacSha256(key);
+    keyed_ = !key.empty();
+}
+
+void
+SignIntegrityEngine::fullMac(const pcie::Tlp &tlp, std::uint8_t *out) const
+{
+    const auto header = tlp.serializeHeader();
+    const bool payload = !tlp.synthetic;
+    mac_.mac(header.data(), header.size(),
+             payload ? tlp.data.data() : nullptr,
+             payload ? tlp.data.size() : 0, out);
+}
+
 Bytes
 SignIntegrityEngine::computeMac(const pcie::Tlp &tlp) const
 {
-    Bytes message = tlp.serializeHeader();
-    if (!tlp.synthetic)
-        message.insert(message.end(), tlp.data.begin(), tlp.data.end());
-    Bytes mac = crypto::hmacSha256(key_, message);
-    mac.resize(16); // truncated MAC fits a TLP prefix
-    return mac;
+    std::uint8_t mac[crypto::kSha256DigestSize];
+    fullMac(tlp, mac);
+    return Bytes(mac, mac + kTagBytes); // truncated MAC fits a TLP prefix
+}
+
+bool
+SignIntegrityEngine::tagMatches(const pcie::Tlp &tlp) const
+{
+    if (tlp.integrityTag.size() != kTagBytes)
+        return false;
+    std::uint8_t mac[crypto::kSha256DigestSize];
+    fullMac(tlp, mac);
+    return constantTimeEqual(mac, tlp.integrityTag.data(), kTagBytes);
 }
 
 bool
 SignIntegrityEngine::verify(const pcie::Tlp &tlp)
 {
-    if (key_.empty()) {
+    // The synthetic flag is a codec bit outside the MAC: a length-only
+    // packet is checked like any other, over its header alone.
+    if (!keyed_ || !tagMatches(tlp)) {
         ++failures_;
         return false;
-    }
-    // Synthetic bulk traffic is timing-only: the MAC bytes are not
-    // materialized, so only sequence monotonicity is enforced.
-    if (!tlp.synthetic) {
-        Bytes expected = computeMac(tlp);
-        if (!constantTimeEqual(expected, tlp.integrityTag)) {
-            ++failures_;
-            return false;
-        }
     }
     std::uint64_t &last = lastSeq_[tlp.requester.raw()];
     if (tlp.seqNo <= last) {
@@ -45,12 +61,7 @@ SignIntegrityEngine::verify(const pcie::Tlp &tlp)
 bool
 SignIntegrityEngine::verifyMac(const pcie::Tlp &tlp) const
 {
-    if (key_.empty())
-        return false;
-    if (tlp.synthetic)
-        return true; // timing-only traffic carries no MAC bytes
-    Bytes expected = computeMac(tlp);
-    return constantTimeEqual(expected, tlp.integrityTag);
+    return keyed_ && tagMatches(tlp);
 }
 
 Tick

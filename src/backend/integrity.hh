@@ -13,6 +13,7 @@
 #include <map>
 
 #include "common/types.hh"
+#include "crypto/sha256.hh"
 #include "pcie/tlp.hh"
 
 namespace ccai::backend
@@ -38,6 +39,8 @@ struct EngineTiming
  * Sign-based integrity engine for A3 packets: HMAC-SHA256 over
  * (header || payload) keyed with the session integrity key, plus a
  * monotonic per-requester sequence check against reordering/replay.
+ * Every packet's tag is recomputed; only the keyed pad states are
+ * kept between packets.
  */
 class SignIntegrityEngine
 {
@@ -46,10 +49,15 @@ class SignIntegrityEngine
         : timing_(timing)
     {}
 
-    void setKey(const Bytes &key) { key_ = key; }
-    bool hasKey() const { return !key_.empty(); }
+    /** Key the MAC context; an empty key leaves the engine unkeyed. */
+    void setKey(const Bytes &key);
+    bool hasKey() const { return keyed_; }
 
-    /** Compute the MAC an A3 packet must carry. */
+    /**
+     * Compute the MAC an A3 packet must carry. A length-only
+     * (synthetic) packet has no payload bytes, so its MAC covers the
+     * header alone.
+     */
     Bytes computeMac(const pcie::Tlp &tlp) const;
 
     /**
@@ -71,8 +79,16 @@ class SignIntegrityEngine
     std::uint64_t failures() const { return failures_; }
 
   private:
+    /** Truncated HMAC tag length carried in the TLP prefix. */
+    static constexpr size_t kTagBytes = 16;
+
+    /** Full 32-byte HMAC of @p tlp into @p out. */
+    void fullMac(const pcie::Tlp &tlp, std::uint8_t *out) const;
+    bool tagMatches(const pcie::Tlp &tlp) const;
+
     EngineTiming timing_;
-    Bytes key_;
+    crypto::HmacSha256 mac_;
+    bool keyed_ = false;
     std::map<std::uint16_t, std::uint64_t> lastSeq_;
     std::uint64_t failures_ = 0;
 };

@@ -129,10 +129,15 @@ storeLe64(std::uint8_t *p, std::uint64_t v)
 bool
 constantTimeEqual(const Bytes &a, const Bytes &b)
 {
-    if (a.size() != b.size())
-        return false;
+    return a.size() == b.size() &&
+           constantTimeEqual(a.data(), b.data(), a.size());
+}
+
+bool
+constantTimeEqual(const std::uint8_t *a, const std::uint8_t *b, size_t len)
+{
     std::uint8_t diff = 0;
-    for (size_t i = 0; i < a.size(); ++i)
+    for (size_t i = 0; i < len; ++i)
         diff |= static_cast<std::uint8_t>(a[i] ^ b[i]);
     return diff == 0;
 }

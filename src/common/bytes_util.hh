@@ -51,6 +51,8 @@ void storeLe64(std::uint8_t *p, std::uint64_t v);
  * exit so that tag comparisons match real-hardware semantics).
  */
 bool constantTimeEqual(const Bytes &a, const Bytes &b);
+bool constantTimeEqual(const std::uint8_t *a, const std::uint8_t *b,
+                       size_t len);
 
 /** XOR b into a (sizes must match). */
 void xorInto(Bytes &a, const Bytes &b);

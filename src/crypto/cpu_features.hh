@@ -1,11 +1,12 @@
 /**
  * @file
- * Runtime CPU feature probe for the SIMD GCM dispatch.
+ * Runtime CPU feature probe for the SIMD crypto dispatch.
  *
  * The secure data plane picks its crypto kernels once per process:
  * cpuid decides whether the AES-NI/PCLMULQDQ (and, where present,
- * VAES/VPCLMULQDQ) paths are usable, and `CCAI_NO_SIMD=1` forces the
- * table-driven portable fallback for CI parity runs. The probe is
+ * VAES/VPCLMULQDQ) GCM paths and the SHA-NI SHA-256 compressor are
+ * usable, and `CCAI_NO_SIMD=1` forces the portable fallbacks for CI
+ * parity runs. The probe is
  * cached; the answer never changes mid-run except through the test
  * override hook.
  */
@@ -16,7 +17,7 @@
 namespace ccai::crypto
 {
 
-/** Raw cpuid feature bits the GCM dispatch cares about. */
+/** Raw cpuid feature bits the crypto dispatch cares about. */
 struct CpuFeatures
 {
     bool ssse3 = false;
@@ -26,12 +27,16 @@ struct CpuFeatures
     bool avx2 = false;       ///< includes OS YMM-state support
     bool vaes = false;       ///< includes OS YMM-state support
     bool vpclmulqdq = false; ///< includes OS YMM-state support
+    bool sha = false;        ///< SHA-NI (leaf 7, EBX bit 29)
 };
 
 /** Cached cpuid probe (all-false on non-x86 builds). */
 const CpuFeatures &cpuFeatures();
 
-/** Which kernel family the dispatcher selected. */
+/**
+ * Which GCM kernel family the dispatcher selected. kNone also keeps
+ * SHA-256 on its portable compressor.
+ */
 enum class SimdTier
 {
     kNone = 0,       ///< table-driven portable path

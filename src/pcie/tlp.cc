@@ -186,10 +186,10 @@ tlpTypeName(TlpType type)
     return "?";
 }
 
-Bytes
+std::array<std::uint8_t, 32>
 Tlp::serializeHeader() const
 {
-    Bytes out(32, 0);
+    std::array<std::uint8_t, 32> out{};
     out[0] = static_cast<std::uint8_t>(fmt);
     out[1] = static_cast<std::uint8_t>(type);
     out[2] = static_cast<std::uint8_t>(requester.raw() >> 8);

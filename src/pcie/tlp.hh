@@ -15,6 +15,7 @@
 #ifndef CCAI_PCIE_TLP_HH
 #define CCAI_PCIE_TLP_HH
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -210,7 +211,7 @@ struct Tlp
     TlpAnomaly headerAnomaly() const;
 
     /** Serialize header fields for integrity binding (AAD). */
-    Bytes serializeHeader() const;
+    std::array<std::uint8_t, 32> serializeHeader() const;
 
     std::string toString() const;
 

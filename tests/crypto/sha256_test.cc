@@ -1,17 +1,78 @@
 /**
  * @file
  * SHA-256 / HMAC-SHA256 / KDF tests against the FIPS 180-4 and RFC
- * 4231 known-answer vectors.
+ * 4231 known-answer vectors, plus parity of the SHA-NI compressor
+ * with the portable one and of the keyed HMAC context with a
+ * textbook HMAC.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bytes_util.hh"
+#include "crypto/cpu_features.hh"
 #include "crypto/sha256.hh"
 #include "sim/rng.hh"
 
 using namespace ccai;
 using crypto::Sha256;
+
+namespace
+{
+
+/** RAII tier override; clears back to the cpuid probe on exit. */
+struct ForcedTier
+{
+    explicit ForcedTier(crypto::SimdTier tier)
+    {
+        crypto::overrideSimdTierForTest(static_cast<int>(tier));
+    }
+    ~ForcedTier() { crypto::overrideSimdTierForTest(-1); }
+};
+
+/**
+ * For every length 0..1024, a seeded message's one-shot digest
+ * followed by its digest when fed in random 1..150-byte splits (so
+ * updates start and end mid-block and span several blocks).
+ */
+std::vector<Bytes>
+corpusDigests()
+{
+    sim::Rng rng(14);
+    std::vector<Bytes> out;
+    for (size_t len = 0; len <= 1024; ++len) {
+        Bytes msg = rng.bytes(len);
+        out.push_back(Sha256::digest(msg));
+        Sha256 h;
+        for (size_t off = 0; off < len;) {
+            size_t take = std::min<size_t>(rng.uniform(1, 150), len - off);
+            h.update(msg.data() + off, take);
+            off += take;
+        }
+        out.push_back(h.finalize());
+    }
+    return out;
+}
+
+/** RFC 2104 spelled out over one-shot digests. */
+Bytes
+textbookHmac(const Bytes &key, const Bytes &msg)
+{
+    Bytes k = key.size() > 64 ? Sha256::digest(key) : key;
+    k.resize(64, 0);
+    Bytes inner(64), outer(64);
+    for (size_t i = 0; i < 64; ++i) {
+        inner[i] = k[i] ^ 0x36;
+        outer[i] = k[i] ^ 0x5c;
+    }
+    inner.insert(inner.end(), msg.begin(), msg.end());
+    Bytes innerDigest = Sha256::digest(inner);
+    outer.insert(outer.end(), innerDigest.begin(), innerDigest.end());
+    return Sha256::digest(outer);
+}
+
+} // namespace
 
 TEST(Sha256, EmptyString)
 {
@@ -73,6 +134,29 @@ TEST(Sha256, ReusableAfterFinalize)
     EXPECT_EQ(h.finalize(), first);
 }
 
+TEST(Sha256, HardwareKernelMatchesPortable)
+{
+    std::vector<Bytes> portable;
+    {
+        ForcedTier force(crypto::SimdTier::kNone);
+        ASSERT_FALSE(crypto::sha256UsesShaNi());
+        portable = corpusDigests();
+    }
+    for (size_t i = 0; i < portable.size(); i += 2)
+        ASSERT_EQ(portable[i], portable[i + 1])
+            << "split digest differs, length " << i / 2;
+
+    if (!crypto::sha256UsesShaNi())
+        GTEST_SKIP() << "SHA-NI unavailable (cpuid or CCAI_NO_SIMD): "
+                        "only the portable compressor ran";
+    std::vector<Bytes> hardware = corpusDigests();
+    ASSERT_EQ(hardware.size(), portable.size());
+    for (size_t i = 0; i < portable.size(); ++i)
+        ASSERT_EQ(hardware[i], portable[i])
+            << (i % 2 ? "split" : "one-shot") << " digest, length "
+            << i / 2;
+}
+
 // RFC 4231 test case 1.
 TEST(HmacSha256, Rfc4231Case1)
 {
@@ -104,6 +188,33 @@ TEST(HmacSha256, Rfc4231Case6)
     EXPECT_EQ(toHex(crypto::hmacSha256(key, msg)),
               "60e431591ee0b67f0d8a26aacbf5b77f"
               "8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacSha256, KeyedContextMatchesOneShot)
+{
+    sim::Rng rng(15);
+    for (size_t keyLen : {0, 4, 20, 32, 64, 65, 131}) {
+        Bytes key = rng.bytes(keyLen);
+        crypto::HmacSha256 ctx(key);
+        for (int i = 0; i < 100; ++i) {
+            Bytes a = rng.bytes(rng.uniform(0, 160));
+            Bytes b = rng.bytes(rng.uniform(0, 160));
+            Bytes ab = a;
+            ab.insert(ab.end(), b.begin(), b.end());
+            Bytes expected = textbookHmac(key, ab);
+            ASSERT_EQ(crypto::hmacSha256(key, ab), expected)
+                << "key " << keyLen << ", message " << i;
+
+            Bytes whole(crypto::kSha256DigestSize);
+            Bytes parts(crypto::kSha256DigestSize);
+            ctx.mac(ab.data(), ab.size(), nullptr, 0, whole.data());
+            ctx.mac(a.data(), a.size(), b.data(), b.size(), parts.data());
+            ASSERT_EQ(whole, expected) << "key " << keyLen << ", message "
+                                       << i;
+            ASSERT_EQ(parts, expected) << "key " << keyLen << ", split at "
+                                       << a.size() << " of " << ab.size();
+        }
+    }
 }
 
 TEST(Kdf, DeterministicAndLabelSeparated)

@@ -112,7 +112,7 @@ TEST(Tlp, HeaderSerializationBindsAllFilterFields)
 {
     Tlp a = Tlp::makeMemWrite(wellknown::kTvm, 0x1234, Bytes{1});
     a.seqNo = 77;
-    Bytes base = a.serializeHeader();
+    const auto base = a.serializeHeader();
 
     Tlp b = a;
     b.address = 0x1235;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes_util.hh"
 #include "crypto/sha256.hh"
 #include "sc/control_panels.hh"
 #include "sc/engines.hh"
@@ -327,6 +328,48 @@ TEST(SignIntegrityEngine, NoKeyFailsClosed)
     SignIntegrityEngine verifier;
     Tlp tlp = Tlp::makeMemWrite(wellknown::kTvm, 0x0, Bytes{1});
     EXPECT_FALSE(verifier.verify(tlp));
+}
+
+// The wire codec carries `synthetic`, but serializeHeader() does not:
+// a bus attacker who flips a signed write to a length-only one must
+// still face the MAC.
+TEST(SignIntegrityEngine, SyntheticFlagDoesNotSkipTheMac)
+{
+    SignIntegrityEngine signer, verifier;
+    Bytes key(32, 0x18);
+    signer.setKey(key);
+    verifier.setKey(key);
+
+    Tlp tlp = Tlp::makeMemWrite(wellknown::kTvm, mm::kXpuMmio.base,
+                                Bytes{1, 2, 3, 4});
+    tlp.seqNo = 1;
+    tlp.integrityTag = signer.computeMac(tlp);
+    tlp.synthetic = true;
+    tlp.data.clear();
+    tlp.address += 8;
+    EXPECT_FALSE(verifier.verifyMac(tlp));
+    EXPECT_FALSE(verifier.verify(tlp));
+    EXPECT_EQ(verifier.failures(), 1u);
+}
+
+// Pins the A3 tag bytes (HMAC-SHA256 over header || payload,
+// truncated to 16 bytes) for a real and a length-only write.
+TEST(SignIntegrityEngine, MacGolden)
+{
+    SignIntegrityEngine signer;
+    signer.setKey(Bytes(32, 0x13));
+
+    Tlp real = Tlp::makeMemWrite(wellknown::kTvm, mm::kXpuMmio.base,
+                                 Bytes{1, 2, 3, 4});
+    real.seqNo = 1;
+    EXPECT_EQ(toHex(signer.computeMac(real)),
+              "b20a54ed7893bc68c88c72c15400c3e3");
+
+    Tlp synthetic = Tlp::makeMemWriteSynthetic(wellknown::kTvm,
+                                               mm::kXpuMmio.base, 4096);
+    synthetic.seqNo = 2;
+    EXPECT_EQ(toHex(signer.computeMac(synthetic)),
+              "bb09ff4e14fe86094d7039fc493f53d9");
 }
 
 // ---------------------------------------------------------------------

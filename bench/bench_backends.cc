@@ -9,7 +9,7 @@
  * design's cost model and TCB/compatibility descriptor.
  *
  * --quick trims the sweeps for CI; the JSON is validated by
- * scripts/validate_obs.py --bench-backends.
+ * scripts/check_bench.py.
  */
 
 #include <cstring>

@@ -8,9 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include "backend/policy.hh"
 #include "pcie/memory_map.hh"
 #include "sc/control_panels.hh"
-#include "sc/rules.hh"
 #include "sim/event_queue.hh"
 
 using namespace ccai;
@@ -20,7 +20,7 @@ namespace mm = ccai::pcie::memmap;
 static void
 BM_FilterClassify(benchmark::State &state)
 {
-    sc::RuleTables policy = sc::defaultPolicy(
+    backend::RuleTables policy = backend::defaultPolicy(
         wellknown::kTvm, wellknown::kXpu, wellknown::kPcieSc);
     Tlp samples[4] = {
         Tlp::makeMemWrite(wellknown::kTvm,
@@ -44,7 +44,7 @@ BENCHMARK(BM_FilterClassify);
 static void
 BM_RuleTableSerialize(benchmark::State &state)
 {
-    sc::RuleTables policy = sc::defaultPolicy(
+    backend::RuleTables policy = backend::defaultPolicy(
         wellknown::kTvm, wellknown::kXpu, wellknown::kPcieSc);
     for (auto _ : state) {
         Bytes blob = policy.serialize();
@@ -56,11 +56,11 @@ BENCHMARK(BM_RuleTableSerialize);
 static void
 BM_RuleTableDeserialize(benchmark::State &state)
 {
-    Bytes blob = sc::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                   wellknown::kPcieSc)
+    Bytes blob = backend::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
+                                        wellknown::kPcieSc)
                      .serialize();
     for (auto _ : state) {
-        auto tables = sc::RuleTables::deserialize(blob);
+        auto tables = backend::RuleTables::deserialize(blob);
         benchmark::DoNotOptimize(tables);
     }
 }

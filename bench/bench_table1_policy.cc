@@ -8,11 +8,11 @@
 
 #include <cstdio>
 
+#include "backend/policy.hh"
 #include "pcie/memory_map.hh"
-#include "sc/rules.hh"
 
 using namespace ccai;
-using namespace ccai::sc;
+using namespace ccai::backend;
 using namespace ccai::pcie;
 namespace mm = ccai::pcie::memmap;
 

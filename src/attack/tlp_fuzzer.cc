@@ -6,10 +6,10 @@
 #include <sstream>
 
 #include "attack/hostile_endpoint.hh"
+#include "backend/policy.hh"
 #include "common/bytes_util.hh"
 #include "common/logging.hh"
 #include "pcie/memory_map.hh"
-#include "sc/rules.hh"
 
 namespace fs = std::filesystem;
 
@@ -91,12 +91,12 @@ fnv1a(std::uint64_t hash, std::uint64_t value)
     return hash;
 }
 
-std::optional<sc::BlockReason>
+std::optional<backend::BlockReason>
 blockReasonFromName(const std::string &name)
 {
-    for (std::size_t i = 0; i < sc::kBlockReasonCount; ++i) {
-        auto r = static_cast<sc::BlockReason>(i);
-        if (name == sc::blockReasonName(r))
+    for (std::size_t i = 0; i < backend::kBlockReasonCount; ++i) {
+        auto r = static_cast<backend::BlockReason>(i);
+        if (name == backend::blockReasonName(r))
             return r;
     }
     return std::nullopt;
@@ -141,7 +141,7 @@ CorpusEntry::serialize() const
     out << kCorpusMagic << '\n';
     out << "name: " << name << '\n';
     out << "action: " << static_cast<int>(action) << '\n';
-    out << "reason: " << sc::blockReasonName(reason) << '\n';
+    out << "reason: " << backend::blockReasonName(reason) << '\n';
     out << "tlp: " << toHex(encoded) << '\n';
     return out.str();
 }
@@ -172,7 +172,7 @@ CorpusEntry::parse(const std::string &text)
             const int a = std::atoi(v->c_str());
             if (a < 1 || a > 4)
                 return std::nullopt;
-            entry.action = static_cast<sc::SecurityAction>(a);
+            entry.action = static_cast<backend::SecurityAction>(a);
             haveAction = true;
         } else if (auto v = field("reason")) {
             auto r = blockReasonFromName(*v);
@@ -244,12 +244,12 @@ loadCorpusDir(const std::string &dir)
 TlpFuzzer::TlpFuzzer(std::uint64_t seed) : rng_(seed)
 {
     filter_.install(
-        sc::defaultPolicy(wk::kTvm, wk::kXpu, wk::kPcieSc));
+        backend::defaultPolicy(wk::kTvm, wk::kXpu, wk::kPcieSc));
 }
 
 std::uint64_t
 TlpFuzzer::coverageKey(const Tlp &tlp,
-                       const sc::FilterVerdict &verdict) const
+                       const backend::FilterVerdict &verdict) const
 {
     // The bucket describes the DECISION PATH, not the input: hashing
     // free input fields (raw IDs, length buckets under a structural
@@ -282,9 +282,9 @@ TlpFuzzer::coverageKey(const Tlp &tlp,
     // boundary straddles) is relevant only once the walk reached the
     // address-sensitive L2 table; an L1 identity deny fires the same
     // way wherever the packet pointed.
-    if (verdict.l2Index != sc::kNoRuleIndex ||
-        verdict.reason == sc::BlockReason::L2NoMatch) {
-        const std::uint64_t extent = sc::requestExtent(tlp);
+    if (verdict.l2Index != backend::kNoRuleIndex ||
+        verdict.reason == backend::BlockReason::L2NoMatch) {
+        const std::uint64_t extent = backend::requestExtent(tlp);
         const Addr last = tlp.address > ~Addr(0) - (extent - 1)
                               ? ~Addr(0)
                               : tlp.address + extent - 1;
@@ -295,7 +295,7 @@ TlpFuzzer::coverageKey(const Tlp &tlp,
 }
 
 void
-TlpFuzzer::checkOracle(const Tlp &tlp, const sc::FilterVerdict &verdict)
+TlpFuzzer::checkOracle(const Tlp &tlp, const backend::FilterVerdict &verdict)
 {
     if (verdict.blocked())
         return;
@@ -312,7 +312,7 @@ TlpFuzzer::checkOracle(const Tlp &tlp, const sc::FilterVerdict &verdict)
         violate("unauthorized requester admitted");
         return;
     }
-    const std::uint64_t extent = sc::requestExtent(tlp);
+    const std::uint64_t extent = backend::requestExtent(tlp);
     if (tlp.requester == wk::kXpu &&
         tlp.type == pcie::TlpType::MemRead &&
         !windowContainsSpan(mm::kBounceH2d, tlp.address, extent))
@@ -325,9 +325,9 @@ TlpFuzzer::checkOracle(const Tlp &tlp, const sc::FilterVerdict &verdict)
 
 bool
 TlpFuzzer::execute(const Tlp &tlp, std::uint64_t *keyOut,
-                   sc::FilterVerdict *verdictOut)
+                   backend::FilterVerdict *verdictOut)
 {
-    const sc::FilterVerdict verdict = filter_.classifyEx(tlp);
+    const backend::FilterVerdict verdict = filter_.classifyEx(tlp);
     if (verdict.blocked()) {
         ++stats_.blocked;
         ++stats_.blockedByReason[static_cast<std::size_t>(
@@ -352,7 +352,7 @@ void
 TlpFuzzer::addSeed(const std::string &name, const Tlp &tlp)
 {
     std::uint64_t key = 0;
-    sc::FilterVerdict verdict;
+    backend::FilterVerdict verdict;
     const bool fresh = execute(tlp, &key, &verdict);
     const Bytes encoded = pcie::encodeTlp(tlp);
     population_.push_back(encoded);
@@ -499,26 +499,26 @@ TlpFuzzer::minimize(Tlp tlp, std::uint64_t key)
     // structural anomalies first, then the rule walk. Using a
     // table-only helper keeps minimization probes out of the
     // filter's counters.
-    const sc::RuleTables tables =
-        sc::defaultPolicy(wk::kTvm, wk::kXpu, wk::kPcieSc);
+    const backend::RuleTables tables =
+        backend::defaultPolicy(wk::kTvm, wk::kXpu, wk::kPcieSc);
     auto verdictFor = [&](const Tlp &t) {
         const pcie::TlpAnomaly anomaly = t.headerAnomaly();
         if (anomaly == pcie::TlpAnomaly::None)
             return tables.classifyEx(t);
-        sc::FilterVerdict v;
-        v.action = sc::SecurityAction::A1_Disallow;
+        backend::FilterVerdict v;
+        v.action = backend::SecurityAction::A1_Disallow;
         switch (anomaly) {
           case pcie::TlpAnomaly::PayloadFmtMismatch:
-            v.reason = sc::BlockReason::MalformedPayload;
+            v.reason = backend::BlockReason::MalformedPayload;
             break;
           case pcie::TlpAnomaly::FmtForType:
-            v.reason = sc::BlockReason::MalformedFmt;
+            v.reason = backend::BlockReason::MalformedFmt;
             break;
           case pcie::TlpAnomaly::AddrWidthMismatch:
-            v.reason = sc::BlockReason::MalformedAddress;
+            v.reason = backend::BlockReason::MalformedAddress;
             break;
           default:
-            v.reason = sc::BlockReason::MalformedLength;
+            v.reason = backend::BlockReason::MalformedLength;
             break;
         }
         return v;
@@ -584,7 +584,7 @@ TlpFuzzer::run(std::uint64_t iterations)
         }
 
         std::uint64_t key = 0;
-        sc::FilterVerdict verdict;
+        backend::FilterVerdict verdict;
         if (!execute(mutant, &key, &verdict))
             continue;
 
@@ -592,7 +592,7 @@ TlpFuzzer::run(std::uint64_t iterations)
         const Bytes encoded = pcie::encodeTlp(reduced);
         population_.push_back(encoded);
         const std::string name = std::string("fuzz-") +
-                                 sc::blockReasonName(verdict.reason) +
+                                 backend::blockReasonName(verdict.reason) +
                                  "-" + hex16(key);
         if (verdict.blocked() && corpusNames_.insert(name).second) {
             coverage_[key] = corpus_.size();

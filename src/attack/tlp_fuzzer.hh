@@ -49,8 +49,8 @@ namespace ccai::attack
 struct CorpusEntry
 {
     std::string name;
-    sc::SecurityAction action = sc::SecurityAction::A1_Disallow;
-    sc::BlockReason reason = sc::BlockReason::None;
+    backend::SecurityAction action = backend::SecurityAction::A1_Disallow;
+    backend::BlockReason reason = backend::BlockReason::None;
     Bytes encoded; ///< encodeTlp() bytes
 
     /** Stable text form (corpus file contents). */
@@ -78,7 +78,7 @@ struct FuzzStats
     std::uint64_t newCoverage = 0;
     /** Security-invariant violations found (must stay 0). */
     std::uint64_t oracleViolations = 0;
-    std::array<std::uint64_t, sc::kBlockReasonCount>
+    std::array<std::uint64_t, backend::kBlockReasonCount>
         blockedByReason{};
 
     bool operator==(const FuzzStats &) const = default;
@@ -133,10 +133,10 @@ class TlpFuzzer
 
   private:
     std::uint64_t coverageKey(const pcie::Tlp &tlp,
-                              const sc::FilterVerdict &verdict) const;
+                              const backend::FilterVerdict &verdict) const;
     /** Check security invariants; records a violation on failure. */
     void checkOracle(const pcie::Tlp &tlp,
-                     const sc::FilterVerdict &verdict);
+                     const backend::FilterVerdict &verdict);
     /** Byte-level mutation of an encoded TLP. */
     Bytes mutateBytes(const Bytes &parent);
     /** Structure-aware mutation of a decoded TLP. */
@@ -145,7 +145,7 @@ class TlpFuzzer
     pcie::Tlp minimize(pcie::Tlp tlp, std::uint64_t key);
     /** Classify + bookkeeping; true when coverage was new. */
     bool execute(const pcie::Tlp &tlp, std::uint64_t *keyOut,
-                 sc::FilterVerdict *verdictOut);
+                 backend::FilterVerdict *verdictOut);
 
     sim::Rng rng_;
     sc::PacketFilter filter_;

@@ -492,7 +492,7 @@ Platform::installPolicyForAllTenants()
         if (admitted(tenant->bdf.raw()))
             tvms.push_back(tenant->bdf);
     }
-    sc::RuleTables policy = sc::defaultPolicy(tvms, kXpu, kPcieSc);
+    backend::RuleTables policy = backend::defaultPolicy(tvms, kXpu, kPcieSc);
     // Route through the backend: CcaiScBackend validates and pushes
     // the tables to the PCIe-SC's rule memory.
     backend_->installPolicy(policy);

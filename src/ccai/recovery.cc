@@ -16,7 +16,7 @@
 namespace ccai
 {
 
-RecoveryManager::Handles::Handles(sim::StatGroup &g)
+RecoveryManager::Handles::Handles(obs::MetricGroup &g)
     : crashesInjected(g.counterHandle("crashes_injected")),
       crashesPcieSc(g.counterHandle("crashes_injected_pcie_sc")),
       crashesXpu(g.counterHandle("crashes_injected_xpu")),

@@ -211,8 +211,8 @@ class RecoveryManager : public sim::SimObject
     const std::vector<Episode> &episodes() const { return episodes_; }
     bool episodeActive() const { return episodeActive_; }
 
-    sim::StatGroup &stats() { return stats_; }
-    sim::StatGroup *statGroup() override { return &stats_; }
+    obs::MetricGroup &stats() { return stats_; }
+    obs::MetricGroup *statGroup() override { return &stats_; }
 
     void reset() override;
 
@@ -324,12 +324,12 @@ class RecoveryManager : public sim::SimObject
     std::set<std::uint16_t> quarantinedBdfs_;
     std::uint64_t nextOpId_ = 1;
 
-    sim::StatGroup stats_;
+    obs::MetricGroup stats_;
 
     /** Typed handles resolved once (observability plane idiom). */
     struct Handles
     {
-        explicit Handles(sim::StatGroup &g);
+        explicit Handles(obs::MetricGroup &g);
 
         obs::CounterHandle crashesInjected;
         obs::CounterHandle crashesPcieSc;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "llm/roofline.hh"
 #include "pcie/memory_map.hh"
 
 namespace ccai::llm
@@ -21,40 +22,6 @@ InferenceEngine::InferenceEngine(sim::System &sys, std::string name,
 {
     activationsDevAddr_ = mm::kXpuVram.base +
                           config_.model.weightBytes() + kMiB;
-}
-
-Tick
-InferenceEngine::prefillLayerTime() const
-{
-    const ModelSpec &m = config_.model;
-    const xpu::XpuSpec &d = config_.device;
-    double flops = 2.0 * (m.params / m.layers) * config_.batch *
-                   config_.inTokens;
-    double seconds =
-        flops / (d.fp16Tflops * 1e12 * d.computeEfficiency);
-    return secondsToTicks(seconds);
-}
-
-Tick
-InferenceEngine::decodeLayerTime(std::uint32_t seqLen) const
-{
-    const ModelSpec &m = config_.model;
-    const xpu::XpuSpec &d = config_.device;
-    double bw = d.memBwGBs * 1e9 * d.bandwidthEfficiency;
-
-    // Bandwidth-bound: stream the layer's weights plus this layer's
-    // share of the KV cache for the whole batch.
-    double weight_bytes = double(m.weightBytes()) / m.layers;
-    double kv_bytes = double(m.kvBytesPerToken()) / m.layers *
-                      double(seqLen) * config_.batch;
-    double bw_seconds = (weight_bytes + kv_bytes) / bw;
-
-    // Compute-bound alternative (large batches).
-    double flops = 2.0 * (m.params / m.layers) * config_.batch;
-    double compute_seconds =
-        flops / (d.fp16Tflops * 1e12 * d.computeEfficiency);
-
-    return secondsToTicks(std::max(bw_seconds, compute_seconds));
 }
 
 void
@@ -99,7 +66,11 @@ InferenceEngine::run(MetricsCb done)
             activationsDevAddr_, std::nullopt, prompt_bytes,
             [this, start, done = std::move(done)]() {
                 // Prefill: all layers over the full prompt.
-                launchLayerKernels(prefillLayerTime());
+                const ModelSpec &m = config_.model;
+                launchLayerKernels(prefillTicks(m, config_.device,
+                                                config_.batch,
+                                                config_.inTokens,
+                                                m.layers));
                 decodeStep(0, start, std::move(done));
             });
     });
@@ -122,7 +93,9 @@ InferenceEngine::decodeStep(std::uint32_t step, Tick startTick,
     }
 
     // One decode step: every layer streams weights + KV.
-    launchLayerKernels(decodeLayerTime(seqLen_));
+    const ModelSpec &m = config_.model;
+    launchLayerKernels(decodeTicks(m, config_.device, config_.batch,
+                                   seqLen_, m.layers));
     ++seqLen_;
 
     KvSwapPlan plan = kv_->onDecodeStep();

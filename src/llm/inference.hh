@@ -1,11 +1,12 @@
 /**
  * @file
- * LLM inference engine: a roofline cost model of transformer
- * prefill/decode that drives real command and data traffic through
- * the simulated runtime/driver/PCIe stack. Both the vanilla baseline
- * and ccAI run this exact engine; only the runtime mode differs, so
- * measured deltas isolate ccAI's overhead — which is what the
- * paper's evaluation reports.
+ * LLM inference engine: prices every layer of transformer
+ * prefill/decode with the shared roofline (llm/roofline.hh) and
+ * drives real command and data traffic through the simulated
+ * runtime/driver/PCIe stack. Both the vanilla baseline and ccAI run
+ * this exact engine; only the runtime mode differs, so measured
+ * deltas isolate ccAI's overhead — which is what the paper's
+ * evaluation reports.
  */
 
 #ifndef CCAI_LLM_INFERENCE_HH
@@ -76,12 +77,6 @@ class InferenceEngine : public sim::SimObject
 
     /** Run one inference request and report metrics. */
     void run(MetricsCb done);
-
-    // ---- cost model (exposed for unit tests) ----
-    /** Per-layer kernel time during prefill. */
-    Tick prefillLayerTime() const;
-    /** Per-layer kernel time during decode at @p seqLen context. */
-    Tick decodeLayerTime(std::uint32_t seqLen) const;
 
     const InferenceConfig &config() const { return config_; }
 

@@ -7,7 +7,7 @@
 namespace ccai::pcie
 {
 
-Link::Handles::Handles(sim::StatGroup &g)
+Link::Handles::Handles(obs::MetricGroup &g)
     : tlps(g.counterHandle("tlps")),
       wireTlps(g.counterHandle("wire_tlps")),
       payloadBytes(g.counterHandle("payload_bytes")),

@@ -17,11 +17,11 @@
 #include <optional>
 #include <string>
 
+#include "obs/metric_group.hh"
 #include "obs/trace.hh"
 #include "pcie/fault_injector.hh"
 #include "pcie/tlp.hh"
 #include "sim/sim_object.hh"
-#include "sim/stats.hh"
 
 namespace ccai::pcie
 {
@@ -101,8 +101,8 @@ class Link : public sim::SimObject
     void clearFaults();
     FaultInjector *faultInjector() { return injector_.get(); }
 
-    sim::StatGroup &stats() { return stats_; }
-    sim::StatGroup *statGroup() override { return &stats_; }
+    obs::MetricGroup &stats() { return stats_; }
+    obs::MetricGroup *statGroup() override { return &stats_; }
 
     /** Serialization time for one TLP (all its wire units). */
     Tick serializationDelay(const Tlp &tlp) const;
@@ -127,12 +127,12 @@ class Link : public sim::SimObject
     TlpPtr held_;
     std::uint64_t holdGen_ = 0;
 
-    sim::StatGroup stats_;
+    obs::MetricGroup stats_;
 
     /** Typed handles resolved once; no name lookup per TLP. */
     struct Handles
     {
-        explicit Handles(sim::StatGroup &g);
+        explicit Handles(obs::MetricGroup &g);
 
         obs::CounterHandle tlps;
         obs::CounterHandle wireTlps;

@@ -5,7 +5,7 @@
 namespace ccai::pcie
 {
 
-RootComplex::Handles::Handles(sim::StatGroup &g)
+RootComplex::Handles::Handles(obs::MetricGroup &g)
     : readsSent(g.counterHandle("reads_sent")),
       writesSent(g.counterHandle("writes_sent")),
       completions(g.counterHandle("completions")),

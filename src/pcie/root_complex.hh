@@ -14,12 +14,12 @@
 #include <map>
 #include <memory>
 
+#include "obs/metric_group.hh"
 #include "obs/trace.hh"
 #include "pcie/host_memory.hh"
 #include "pcie/link.hh"
 #include "pcie/transport.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 
 namespace ccai::pcie
 {
@@ -120,8 +120,8 @@ class RootComplex : public sim::SimObject, public PcieNode
     void receiveTlp(const TlpPtr &tlp, PcieNode *from) override;
     const std::string &nodeName() const override { return name(); }
 
-    sim::StatGroup &stats() { return stats_; }
-    sim::StatGroup *statGroup() override { return &stats_; }
+    obs::MetricGroup &stats() { return stats_; }
+    obs::MetricGroup *statGroup() override { return &stats_; }
     HostMemory &memory() { return mem_; }
 
     void reset() override;
@@ -158,12 +158,12 @@ class RootComplex : public sim::SimObject, public PcieNode
     std::map<std::uint16_t, std::uint64_t> rxSeq_;
     IommuCheck iommu_;
     RetryConfig retry_;
-    sim::StatGroup stats_;
+    obs::MetricGroup stats_;
 
     /** Typed handles resolved once; no name lookup per TLP. */
     struct Handles
     {
-        explicit Handles(sim::StatGroup &g);
+        explicit Handles(obs::MetricGroup &g);
 
         obs::CounterHandle readsSent;
         obs::CounterHandle writesSent;

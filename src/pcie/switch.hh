@@ -63,8 +63,8 @@ class Switch : public sim::SimObject, public PcieNode
     void receiveTlp(const TlpPtr &tlp, PcieNode *from) override;
     const std::string &nodeName() const override { return name(); }
 
-    sim::StatGroup &stats() { return stats_; }
-    sim::StatGroup *statGroup() override { return &stats_; }
+    obs::MetricGroup &stats() { return stats_; }
+    obs::MetricGroup *statGroup() override { return &stats_; }
 
     void reset() override { stats_.reset(); }
 
@@ -76,12 +76,12 @@ class Switch : public sim::SimObject, public PcieNode
     std::map<std::uint16_t, int> idMap_;
     int defaultPort_ = -1;
     Tick forwardLatency_;
-    sim::StatGroup stats_;
+    obs::MetricGroup stats_;
 
     /** Typed handles resolved once; no name lookup per TLP. */
     struct Handles
     {
-        explicit Handles(sim::StatGroup &g)
+        explicit Handles(obs::MetricGroup &g)
             : forwarded(g.counterHandle("forwarded")),
               dropped(g.counterHandle("dropped"))
         {}

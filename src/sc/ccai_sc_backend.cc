@@ -12,7 +12,7 @@ CcaiScBackend::buildInterposer(sim::System &sys, std::string name,
 }
 
 bool
-CcaiScBackend::installPolicy(const RuleTables &tables)
+CcaiScBackend::installPolicy(const backend::RuleTables &tables)
 {
     if (!ProtectionBackend::installPolicy(tables))
         return false;

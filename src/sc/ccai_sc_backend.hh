@@ -49,7 +49,7 @@ class CcaiScBackend : public ProtectionBackend
      * Validate and record the policy, then push it into the live
      * PCIe-SC's rule tables.
      */
-    bool installPolicy(const RuleTables &tables) override;
+    bool installPolicy(const backend::RuleTables &tables) override;
 
     void endSession(std::uint16_t tenantRaw) override;
 

@@ -13,10 +13,10 @@
 #include <map>
 #include <optional>
 
+#include "backend/chunk_record.hh"
 #include "common/types.hh"
 #include "crypto/gcm.hh"
-#include "sim/stats.hh"
-#include "backend/chunk_record.hh"
+#include "obs/metric_group.hh"
 #include "trust/key_manager.hh"
 
 namespace ccai::sc
@@ -82,7 +82,7 @@ class AuthTagManager
 
   private:
     std::map<std::uint64_t, Bytes> tags_;
-    sim::Counter failures_;
+    obs::Counter failures_;
 };
 
 } // namespace ccai::sc

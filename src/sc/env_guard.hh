@@ -13,9 +13,9 @@
 #include <functional>
 #include <map>
 
+#include "obs/metric_group.hh"
 #include "pcie/memory_map.hh"
 #include "pcie/tlp.hh"
-#include "sim/stats.hh"
 
 namespace ccai::sc
 {
@@ -71,7 +71,7 @@ class EnvGuard
      * metric group) so they appear in the metrics JSON. The local
      * counters keep working for standalone/unit-test guards.
      */
-    void bindStats(sim::StatGroup &group)
+    void bindStats(obs::MetricGroup &group)
     {
         violationsHandle_ =
             group.counterHandle("env_guard_violations");
@@ -93,9 +93,9 @@ class EnvGuard
     std::map<Addr, MmioConstraint> constraints_;
     std::function<void()> coldReset_;
     std::function<void()> softReset_;
-    sim::Counter violations_;
-    sim::Counter cleans_;
-    sim::Counter scrubsSkipped_;
+    obs::Counter violations_;
+    obs::Counter cleans_;
+    obs::Counter scrubsSkipped_;
     obs::CounterHandle violationsHandle_;
     obs::CounterHandle cleansHandle_;
     obs::CounterHandle scrubsSkippedHandle_;

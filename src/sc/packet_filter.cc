@@ -12,7 +12,7 @@ PacketFilter::PacketFilter(const FilterTiming &timing) : timing_(timing)
 }
 
 void
-PacketFilter::install(const RuleTables &tables)
+PacketFilter::install(const backend::RuleTables &tables)
 {
     tables_ = tables;
     ++generation_;
@@ -41,7 +41,7 @@ PacketFilter::applyEncryptedConfig(const Bytes &iv,
         rejectedConfigs_.inc();
         return false;
     }
-    tables_ = RuleTables::deserialize(*plaintext);
+    tables_ = backend::RuleTables::deserialize(*plaintext);
     ++generation_;
     rebuildBoundaries();
     return true;
@@ -52,7 +52,7 @@ PacketFilter::rebuildBoundaries()
 {
     boundaries_.clear();
     for (const auto &rule : tables_.l1()) {
-        if (rule.mask & kMatchAddress) {
+        if (rule.mask & backend::kMatchAddress) {
             boundaries_.push_back(rule.addrLo);
             boundaries_.push_back(rule.addrHi);
         }
@@ -90,7 +90,7 @@ PacketFilter::tlbKey(const pcie::Tlp &tlp) const
                                    boundaries_.end(), a);
         return static_cast<std::uint64_t>(it - boundaries_.begin());
     };
-    const std::uint64_t extent = requestExtent(tlp);
+    const std::uint64_t extent = backend::requestExtent(tlp);
     // Saturate: a span wrapping the top of the address space still
     // needs a deterministic key (it matches no window either way).
     const Addr last = tlp.address > ~Addr(0) - (extent - 1)
@@ -114,35 +114,35 @@ PacketFilter::tlbIndex(std::uint64_t key)
 namespace
 {
 
-BlockReason
+backend::BlockReason
 reasonForAnomaly(pcie::TlpAnomaly anomaly)
 {
     switch (anomaly) {
       case pcie::TlpAnomaly::PayloadFmtMismatch:
-        return BlockReason::MalformedPayload;
+        return backend::BlockReason::MalformedPayload;
       case pcie::TlpAnomaly::FmtForType:
-        return BlockReason::MalformedFmt;
+        return backend::BlockReason::MalformedFmt;
       case pcie::TlpAnomaly::LengthZero:
       case pcie::TlpAnomaly::LengthOverflow:
       case pcie::TlpAnomaly::LengthMismatch:
-        return BlockReason::MalformedLength;
+        return backend::BlockReason::MalformedLength;
       case pcie::TlpAnomaly::AddrWidthMismatch:
-        return BlockReason::MalformedAddress;
+        return backend::BlockReason::MalformedAddress;
       case pcie::TlpAnomaly::None:
         break;
     }
-    return BlockReason::None;
+    return backend::BlockReason::None;
 }
 
 } // namespace
 
-SecurityAction
+backend::SecurityAction
 PacketFilter::classify(const pcie::Tlp &tlp)
 {
     return classifyEx(tlp).action;
 }
 
-FilterVerdict
+backend::FilterVerdict
 PacketFilter::classifyEx(const pcie::Tlp &tlp)
 {
     classified_.inc();
@@ -154,8 +154,8 @@ PacketFilter::classifyEx(const pcie::Tlp &tlp)
     // for its well-formed twin.
     const pcie::TlpAnomaly anomaly = tlp.headerAnomaly();
     if (anomaly != pcie::TlpAnomaly::None) {
-        FilterVerdict v;
-        v.action = SecurityAction::A1_Disallow;
+        backend::FilterVerdict v;
+        v.action = backend::SecurityAction::A1_Disallow;
         v.reason = reasonForAnomaly(anomaly);
         blocked_.inc();
         blockedByReason_[static_cast<size_t>(v.reason)].inc();
@@ -164,7 +164,7 @@ PacketFilter::classifyEx(const pcie::Tlp &tlp)
 
     const std::uint64_t key = tlbKey(tlp);
     TlbEntry &entry = tlb_[tlbIndex(key)];
-    FilterVerdict verdict;
+    backend::FilterVerdict verdict;
     if (entry.valid && entry.generation == generation_ &&
         entry.key == key) {
         tlbHits_.inc();
@@ -174,7 +174,7 @@ PacketFilter::classifyEx(const pcie::Tlp &tlp)
         verdict = tables_.classifyEx(tlp);
         entry = TlbEntry{key, generation_, verdict, true};
     }
-    if (verdict.action == SecurityAction::A1_Disallow) {
+    if (verdict.action == backend::SecurityAction::A1_Disallow) {
         blocked_.inc();
         blockedByReason_[static_cast<size_t>(verdict.reason)].inc();
     }

@@ -25,9 +25,9 @@
 #include <optional>
 #include <vector>
 
+#include "backend/policy.hh"
 #include "crypto/gcm.hh"
-#include "sc/rules.hh"
-#include "sim/stats.hh"
+#include "obs/metric_group.hh"
 
 namespace ccai::sc
 {
@@ -58,7 +58,7 @@ class PacketFilter
     explicit PacketFilter(const FilterTiming &timing = {});
 
     /** Install plaintext tables directly (boot-time defaults). */
-    void install(const RuleTables &tables);
+    void install(const backend::RuleTables &tables);
 
     /** Set the key protecting configuration updates. */
     void setConfigKey(const Bytes &key);
@@ -73,7 +73,7 @@ class PacketFilter
                               const Bytes &tag);
 
     /** Classify one TLP (TLB probe, walk + fill on miss). */
-    SecurityAction classify(const pcie::Tlp &tlp);
+    backend::SecurityAction classify(const pcie::Tlp &tlp);
 
     /**
      * classify() with the full verdict: action, block reason and
@@ -84,7 +84,7 @@ class PacketFilter
      * with its well-formed twin would classify it under the twin's
      * verdict. Rejection never fills the TLB.
      */
-    FilterVerdict classifyEx(const pcie::Tlp &tlp);
+    backend::FilterVerdict classifyEx(const pcie::Tlp &tlp);
 
     /**
      * Filter service time for a TLP. The match pipeline inspects
@@ -100,8 +100,8 @@ class PacketFilter
      */
     Tick lookupDelay(const pcie::Tlp &tlp) const;
 
-    const RuleTables &tables() const { return tables_; }
-    sim::Counter &blockedCount() { return blocked_; }
+    const backend::RuleTables &tables() const { return tables_; }
+    obs::Counter &blockedCount() { return blocked_; }
     std::uint64_t classified() const { return classified_.value(); }
     std::uint64_t blocked() const { return blocked_.value(); }
     std::uint64_t rejectedConfigs() const
@@ -123,7 +123,7 @@ class PacketFilter
 
     /** Packets blocked for one specific reason. */
     std::uint64_t
-    blockedFor(BlockReason reason) const
+    blockedFor(backend::BlockReason reason) const
     {
         return blockedByReason_[static_cast<size_t>(reason)].value();
     }
@@ -136,7 +136,7 @@ class PacketFilter
     {
         std::uint64_t key = 0;
         std::uint32_t generation = 0;
-        FilterVerdict verdict;
+        backend::FilterVerdict verdict;
         bool valid = false;
     };
 
@@ -146,22 +146,22 @@ class PacketFilter
     std::uint64_t tlbKey(const pcie::Tlp &tlp) const;
     static size_t tlbIndex(std::uint64_t key);
 
-    RuleTables tables_;
+    backend::RuleTables tables_;
     FilterTiming timing_;
     std::optional<crypto::AesGcm> configKey_;
-    sim::Counter classified_;
-    sim::Counter blocked_;
-    sim::Counter rejectedConfigs_;
+    obs::Counter classified_;
+    obs::Counter blocked_;
+    obs::Counter rejectedConfigs_;
 
     std::array<TlbEntry, kTlbEntries> tlb_{};
     /** Sorted, deduplicated rule address edges (addrLo/addrHi). */
     std::vector<Addr> boundaries_;
     std::uint32_t generation_ = 1;
-    sim::Counter tlbHits_;
-    sim::Counter tlbMisses_;
-    sim::Counter unitsClassified_;
+    obs::Counter tlbHits_;
+    obs::Counter tlbMisses_;
+    obs::Counter unitsClassified_;
     /** Indexed by BlockReason; feeds obs + fuzzer coverage. */
-    std::array<sim::Counter, kBlockReasonCount> blockedByReason_{};
+    std::array<obs::Counter, backend::kBlockReasonCount> blockedByReason_{};
 };
 
 } // namespace ccai::sc

@@ -13,7 +13,7 @@ using pcie::Tlp;
 using pcie::TlpPtr;
 using pcie::TlpType;
 
-PcieSc::Handles::Handles(sim::StatGroup &g)
+PcieSc::Handles::Handles(obs::MetricGroup &g)
     : sessionsEstablished(g.counterHandle("sessions_established")),
       tasksEnded(g.counterHandle("tasks_ended")),
       transportAcksReceived(
@@ -68,10 +68,10 @@ PcieSc::Handles::Handles(sim::StatGroup &g)
       a2UpCryptTicks(g.histogramHandle("a2_up_crypt_ticks")),
       forwardQueueTicks(g.histogramHandle("forward_queue_ticks"))
 {
-    for (size_t i = 0; i < kBlockReasonCount; ++i) {
+    for (size_t i = 0; i < backend::kBlockReasonCount; ++i) {
         blockedByReason[i] = g.counterHandle(
             std::string("blocked_") +
-            blockReasonName(static_cast<BlockReason>(i)));
+            backend::blockReasonName(static_cast<backend::BlockReason>(i)));
     }
 }
 
@@ -148,7 +148,7 @@ PcieSc::establishTenant(pcie::Bdf tenant, const Bytes &sessionSecret,
 }
 
 void
-PcieSc::installPolicy(const RuleTables &tables)
+PcieSc::installPolicy(const backend::RuleTables &tables)
 {
     filter_.install(tables);
 }
@@ -322,10 +322,10 @@ PcieSc::processDownstreamBound(const TlpPtr &tlp)
 
     s_.downTlps.inc();
     Tick filter_delay = filter_.lookupDelay(*tlp);
-    FilterVerdict verdict = filter_.classifyEx(*tlp);
-    SecurityAction action = verdict.action;
+    backend::FilterVerdict verdict = filter_.classifyEx(*tlp);
+    backend::SecurityAction action = verdict.action;
 
-    if (action == SecurityAction::A1_Disallow) {
+    if (action == backend::SecurityAction::A1_Disallow) {
         s_.a1Blocked.inc();
         s_.blockedByReason[static_cast<size_t>(verdict.reason)]
             .inc();
@@ -349,7 +349,7 @@ PcieSc::processDownstreamBound(const TlpPtr &tlp)
     if ((tlp->type == TlpType::MemRead ||
          tlp->type == TlpType::MemWrite) &&
         ownsAddress(tlp->address)) {
-        if (action == SecurityAction::A3_PlainIntegrity &&
+        if (action == backend::SecurityAction::A3_PlainIntegrity &&
             sessionEstablished() && !handleA3(tlp)) {
             return;
         }
@@ -358,10 +358,10 @@ PcieSc::processDownstreamBound(const TlpPtr &tlp)
     }
 
     switch (action) {
-      case SecurityAction::A2_CryptIntegrity:
+      case backend::SecurityAction::A2_CryptIntegrity:
         handleA2Downstream(tlp);
         return;
-      case SecurityAction::A3_PlainIntegrity: {
+      case backend::SecurityAction::A3_PlainIntegrity: {
         if (!handleA3(tlp))
             return;
         TenantSession *s = session(tlp->requester.raw());
@@ -370,7 +370,7 @@ PcieSc::processDownstreamBound(const TlpPtr &tlp)
         forward(tlp, false, filter_delay + verify_delay);
         return;
       }
-      case SecurityAction::A4_Transparent: {
+      case backend::SecurityAction::A4_Transparent: {
         s_.a4Passthrough.inc();
         // Completions of sensitive device reads are upgraded to the
         // A2 decrypt path via the pending-read tracker; link-level
@@ -556,10 +556,10 @@ PcieSc::processUpstreamBound(const TlpPtr &tlp)
 {
     s_.upTlps.inc();
     Tick filter_delay = filter_.lookupDelay(*tlp);
-    FilterVerdict verdict = filter_.classifyEx(*tlp);
-    SecurityAction action = verdict.action;
+    backend::FilterVerdict verdict = filter_.classifyEx(*tlp);
+    backend::SecurityAction action = verdict.action;
 
-    if (action == SecurityAction::A1_Disallow) {
+    if (action == backend::SecurityAction::A1_Disallow) {
         s_.a1Blocked.inc();
         s_.blockedByReason[static_cast<size_t>(verdict.reason)]
             .inc();
@@ -573,10 +573,10 @@ PcieSc::processUpstreamBound(const TlpPtr &tlp)
     }
 
     switch (action) {
-      case SecurityAction::A2_CryptIntegrity:
+      case backend::SecurityAction::A2_CryptIntegrity:
         handleA2Upstream(tlp);
         return;
-      case SecurityAction::A3_PlainIntegrity: {
+      case backend::SecurityAction::A3_PlainIntegrity: {
         if (!handleA3(tlp))
             return;
         TenantSession *s = session(tlp->requester.raw());
@@ -585,7 +585,7 @@ PcieSc::processUpstreamBound(const TlpPtr &tlp)
         forward(tlp, true, filter_delay + verify_delay);
         return;
       }
-      case SecurityAction::A4_Transparent:
+      case backend::SecurityAction::A4_Transparent:
         s_.a4Passthrough.inc();
         // Track sensitive reads so their completions get decrypted,
         // attributed to the tenant whose chunk covers the address.
@@ -975,7 +975,7 @@ PcieSc::handleChunkRetry(TenantSession &tenant, std::uint64_t chunkId)
 }
 
 bool
-PcieSc::transportAdmitDown(const TlpPtr &tlp, SecurityAction action)
+PcieSc::transportAdmitDown(const TlpPtr &tlp, backend::SecurityAction action)
 {
     if (!config_.retry.enabled || !tlp->ackRequired)
         return true;
@@ -1002,7 +1002,7 @@ PcieSc::transportAdmitDown(const TlpPtr &tlp, SecurityAction action)
     // guard violations, config authentication failures) are still
     // transport-accepted, or the channel would wedge on a packet
     // that will never become acceptable.
-    if (action == SecurityAction::A3_PlainIntegrity &&
+    if (action == backend::SecurityAction::A3_PlainIntegrity &&
         sessionEstablished()) {
         TenantSession *t = session(tlp->requester.raw());
         if (!t || !t->signer.verifyMac(*tlp)) {

@@ -24,6 +24,7 @@
 #include <optional>
 #include <set>
 
+#include "obs/metric_group.hh"
 #include "obs/trace.hh"
 #include "pcie/link.hh"
 #include "pcie/memory_map.hh"
@@ -33,7 +34,6 @@
 #include "sc/env_guard.hh"
 #include "sc/packet_filter.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 #include "trust/key_manager.hh"
 
 namespace ccai::sc
@@ -111,7 +111,7 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
                          pcie::AddrRange metaWindow);
 
     /** Install the boot-time packet policy. */
-    void installPolicy(const RuleTables &tables);
+    void installPolicy(const backend::RuleTables &tables);
 
     /**
      * Crash-recovery fault domain (§4.2 abnormal termination):
@@ -143,8 +143,8 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     PacketFilter &filter() { return filter_; }
     EnvGuard &envGuard() { return envGuard_; }
     AuthTagManager &tagManager() { return tagMgr_; }
-    sim::StatGroup &stats() { return stats_; }
-    sim::StatGroup *statGroup() override { return &stats_; }
+    obs::MetricGroup &stats() { return stats_; }
+    obs::MetricGroup *statGroup() override { return &stats_; }
     const PcieScConfig &config() const { return config_; }
     void setConfig(const PcieScConfig &config) { config_ = config; }
 
@@ -251,7 +251,7 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     // End-to-end transport (retry/ARQ) plumbing.
     /** In-order admit gate for ackRequired downstream TLPs. */
     bool transportAdmitDown(const pcie::TlpPtr &tlp,
-                            SecurityAction action);
+                            backend::SecurityAction action);
     void sendDownAck(std::uint16_t channel, std::uint64_t seq,
                      bool nak);
     /** Stamp an upstream TLP onto a tenant channel and send it. */
@@ -302,7 +302,7 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     /** Monotonic liveness beat served from screg::kHeartbeat. */
     std::uint64_t heartbeatBeats_ = 0;
 
-    sim::StatGroup stats_;
+    obs::MetricGroup stats_;
 
     /**
      * Typed stat handles resolved once at construction so the
@@ -310,7 +310,7 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
      */
     struct Handles
     {
-        explicit Handles(sim::StatGroup &g);
+        explicit Handles(obs::MetricGroup &g);
 
         obs::CounterHandle sessionsEstablished;
         obs::CounterHandle tasksEnded;
@@ -361,7 +361,7 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
          * blocked-by-reason table). blocked_none never fires; it
          * exists so the array indexes the enum directly.
          */
-        std::array<obs::CounterHandle, kBlockReasonCount>
+        std::array<obs::CounterHandle, backend::kBlockReasonCount>
             blockedByReason;
 
         obs::HistogramHandle a2DownCryptTicks;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "llm/roofline.hh"
 
 namespace ccai::serve
 {
@@ -43,7 +44,7 @@ normalized(ServeConfig config)
 
 } // namespace
 
-LoadGenerator::Handles::Handles(sim::StatGroup &g)
+LoadGenerator::Handles::Handles(obs::MetricGroup &g)
     : issued(g.counterHandle("requests_issued")),
       arrivals(g.counterHandle("requests_arrived")),
       admitted(g.counterHandle("requests_admitted")),
@@ -182,12 +183,10 @@ LoadGenerator::secureScaled(Tick t) const
 Tick
 LoadGenerator::prefillTicks(const DeviceState &dev) const
 {
-    const llm::ModelSpec &m = config_.model;
-    double flops = 2.0 * static_cast<double>(m.params) *
-                   config_.profile.promptTokens;
-    double seconds = flops / (dev.spec.fp16Tflops * 1e12 *
-                              dev.spec.computeEfficiency);
-    Tick t = secondsToTicks(seconds) + dev.spec.kernelLaunchOverhead;
+    // Whole-model roofline (one part) plus one launch per pass.
+    Tick t = llm::prefillTicks(config_.model, dev.spec, 1,
+                               config_.profile.promptTokens, 1) +
+             dev.spec.kernelLaunchOverhead;
     t = secureScaled(t);
     if (config_.secure)
         t += cost_.perRequestSetup;
@@ -198,17 +197,7 @@ Tick
 LoadGenerator::decodeStepTicks(const DeviceState &dev,
                                std::uint32_t seqLen) const
 {
-    const llm::ModelSpec &m = config_.model;
-    double bw = dev.spec.memBwGBs * 1e9 *
-                dev.spec.bandwidthEfficiency;
-    double bytes = static_cast<double>(m.weightBytes()) +
-                   static_cast<double>(m.kvBytesPerToken()) *
-                       static_cast<double>(seqLen);
-    double bwSeconds = bytes / bw;
-    double flops = 2.0 * static_cast<double>(m.params);
-    double computeSeconds = flops / (dev.spec.fp16Tflops * 1e12 *
-                                     dev.spec.computeEfficiency);
-    Tick t = secondsToTicks(std::max(bwSeconds, computeSeconds)) +
+    Tick t = llm::decodeTicks(config_.model, dev.spec, 1, seqLen, 1) +
              dev.spec.kernelLaunchOverhead;
     return secureScaled(t);
 }

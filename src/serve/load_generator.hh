@@ -15,9 +15,9 @@
  * the arrival draws. Requests carry their own absolute deadline
  * (firstArrival + sloDeadline); an SLO miss is charged at completion
  * time when the request finished late — per request, never the old
- * one-shared-timer-per-tenant undercount. Devices model prefill and
- * per-token decode with the same roofline formulas as
- * llm::InferenceEngine, scaled by the protection backend's
+ * one-shared-timer-per-tenant undercount. Devices price prefill and
+ * per-token decode with the whole-model llm/roofline.hh plus one
+ * kernel launch per pass, scaled by the protection backend's
  * compute-overhead factor.
  *
  * A seeded crash schedule (ccai::CrashInjector, xPU domain) can kill
@@ -43,11 +43,11 @@
 #include "backend/protection_backend.hh"
 #include "ccai/chaos.hh"
 #include "llm/model_spec.hh"
+#include "obs/metric_group.hh"
 #include "serve/admission.hh"
 #include "serve/arrival.hh"
 #include "serve/router.hh"
 #include "sim/sim_object.hh"
-#include "sim/stats.hh"
 #include "xpu/xpu_spec.hh"
 
 namespace ccai::serve
@@ -328,10 +328,10 @@ class LoadGenerator : public sim::SimObject
     std::vector<Tick> missTicks_;
     std::vector<Tick> crashTicks_;
 
-    sim::StatGroup stats_;
+    obs::MetricGroup stats_;
     struct Handles
     {
-        explicit Handles(sim::StatGroup &g);
+        explicit Handles(obs::MetricGroup &g);
         obs::CounterHandle issued;
         obs::CounterHandle arrivals;
         obs::CounterHandle admitted;

@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/metric_group.hh"
 #include "obs/trace.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 
 namespace ccai::sim
 {
@@ -40,7 +40,7 @@ class SimObject
     virtual void reset() {}
 
     /** Statistics group, when the object keeps one. */
-    virtual sim::StatGroup *statGroup() { return nullptr; }
+    virtual obs::MetricGroup *statGroup() { return nullptr; }
 
   protected:
     EventQueue &eventq();
@@ -99,7 +99,7 @@ class System
     {
         std::uint64_t total = 0;
         for (SimObject *obj : objects_) {
-            if (sim::StatGroup *stats = obj->statGroup()) {
+            if (obs::MetricGroup *stats = obj->statGroup()) {
                 auto it = stats->counters().find(name);
                 if (it != stats->counters().end())
                     total += it->second.value();
@@ -114,7 +114,7 @@ class System
     {
         std::string out;
         for (SimObject *obj : objects_) {
-            if (sim::StatGroup *stats = obj->statGroup())
+            if (obs::MetricGroup *stats = obj->statGroup())
                 out += stats->dump();
         }
         return out;

@@ -13,7 +13,7 @@ namespace ccai::tvm
 namespace mm = pcie::memmap;
 using backend::ChunkRecord;
 
-Adaptor::Handles::Handles(sim::StatGroup &g)
+Adaptor::Handles::Handles(obs::MetricGroup &g)
     : faultsRecovered(g.counterHandle("faults_recovered")),
       faultsFatal(g.counterHandle("faults_fatal")),
       transportRetransmits(g.counterHandle("transport_retransmits")),

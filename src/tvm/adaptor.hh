@@ -21,13 +21,13 @@
 #include <functional>
 #include <optional>
 
-#include "obs/trace.hh"
-#include "pcie/transport.hh"
 #include "backend/chunk_record.hh"
 #include "backend/integrity.hh"
 #include "backend/policy.hh"
+#include "obs/metric_group.hh"
+#include "obs/trace.hh"
+#include "pcie/transport.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 #include "trust/key_manager.hh"
 #include "tvm/tvm.hh"
 
@@ -220,8 +220,8 @@ class Adaptor : public sim::SimObject
     const AdaptorConfig &config() const { return config_; }
     void setConfig(const AdaptorConfig &config) { config_ = config; }
     trust::WorkloadKeyManager *keyManager() { return keys_.get(); }
-    sim::StatGroup &stats() { return stats_; }
-    sim::StatGroup *statGroup() override { return &stats_; }
+    obs::MetricGroup &stats() { return stats_; }
+    obs::MetricGroup *statGroup() override { return &stats_; }
 
     /** CPU time to encrypt/decrypt @p bytes with current config. */
     Tick cryptoDelay(std::uint64_t bytes) const;
@@ -333,7 +333,7 @@ class Adaptor : public sim::SimObject
      */
     std::uint64_t sessionEpoch_ = 0;
 
-    sim::StatGroup stats_;
+    obs::MetricGroup stats_;
 
     /**
      * Typed handles into stats_, resolved once at construction so
@@ -341,7 +341,7 @@ class Adaptor : public sim::SimObject
      */
     struct Handles
     {
-        explicit Handles(sim::StatGroup &g);
+        explicit Handles(obs::MetricGroup &g);
 
         obs::CounterHandle faultsRecovered;
         obs::CounterHandle faultsFatal;

@@ -8,7 +8,7 @@ namespace ccai::xpu
 
 namespace mm = pcie::memmap;
 
-XpuDevice::Handles::Handles(sim::StatGroup &g)
+XpuDevice::Handles::Handles(obs::MetricGroup &g)
     : vramWrites(g.counterHandle("vram_writes")),
       badAddrWrites(g.counterHandle("bad_addr_writes")),
       orphanCompletions(g.counterHandle("orphan_completions")),

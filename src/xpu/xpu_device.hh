@@ -16,11 +16,11 @@
 #include <functional>
 #include <map>
 
+#include "obs/metric_group.hh"
 #include "pcie/host_memory.hh"
 #include "pcie/link.hh"
 #include "pcie/memory_map.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 #include "xpu/xpu_command.hh"
 #include "xpu/xpu_spec.hh"
 
@@ -111,8 +111,8 @@ class XpuDevice : public sim::SimObject, public pcie::PcieNode
         protection_ = b;
     }
 
-    sim::StatGroup &stats() { return stats_; }
-    sim::StatGroup *statGroup() override { return &stats_; }
+    obs::MetricGroup &stats() { return stats_; }
+    obs::MetricGroup *statGroup() override { return &stats_; }
 
     void reset() override;
 
@@ -166,12 +166,12 @@ class XpuDevice : public sim::SimObject, public pcie::PcieNode
     DmaReadState dmaRead_;
 
     XpuEnvState env_;
-    sim::StatGroup stats_;
+    obs::MetricGroup stats_;
 
     /** Typed handles resolved once; no name lookup per TLP. */
     struct Handles
     {
-        explicit Handles(sim::StatGroup &g);
+        explicit Handles(obs::MetricGroup &g);
 
         obs::CounterHandle vramWrites;
         obs::CounterHandle badAddrWrites;

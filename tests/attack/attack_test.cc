@@ -325,9 +325,9 @@ TEST(ConfigInjection, ForgedPolicyUpdateRejected)
     // Adversary crafts a permissive policy without the config key
     // and writes it from the (authorized) TVM requester ID — e.g. a
     // compromised co-tenant process replaying the config path.
-    sc::RuleTables evil;
-    sc::L1Rule allow;
-    allow.verdict = sc::L1Verdict::ToL2Table;
+    backend::RuleTables evil;
+    backend::L1Rule allow;
+    allow.verdict = backend::L1Verdict::ToL2Table;
     evil.addL1(allow);
     sim::Rng rng(9);
     crypto::AesGcm wrong_key(rng.bytes(16));

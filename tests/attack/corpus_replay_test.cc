@@ -14,8 +14,8 @@
 #include <set>
 
 #include "attack/tlp_fuzzer.hh"
+#include "backend/policy.hh"
 #include "ccai/platform.hh"
-#include "sc/rules.hh"
 
 using namespace ccai;
 using namespace ccai::attack;
@@ -44,13 +44,13 @@ TEST(CorpusReplay, CorpusIsPresentAndBroad)
     // The acceptance floor: >= 25 distinct blocked-TLP classes.
     ASSERT_GE(entries.size(), 25u);
     std::set<std::string> names;
-    std::set<sc::BlockReason> reasons;
+    std::set<backend::BlockReason> reasons;
     for (const auto &entry : entries) {
         EXPECT_TRUE(names.insert(entry.name).second)
             << "duplicate corpus name " << entry.name;
-        EXPECT_EQ(entry.action, sc::SecurityAction::A1_Disallow)
+        EXPECT_EQ(entry.action, backend::SecurityAction::A1_Disallow)
             << entry.name << ": corpus entries are blocked classes";
-        EXPECT_NE(entry.reason, sc::BlockReason::None) << entry.name;
+        EXPECT_NE(entry.reason, backend::BlockReason::None) << entry.name;
         reasons.insert(entry.reason);
     }
     EXPECT_GE(reasons.size(), 6u)
@@ -71,11 +71,11 @@ TEST(CorpusReplay, FreshFilterReproducesEveryVerdict)
     for (const auto &entry : corpus()) {
         // A fresh filter per entry: no TLB state, no ordering effects.
         sc::PacketFilter filter;
-        filter.install(sc::defaultPolicy(
+        filter.install(backend::defaultPolicy(
             wellknown::kTvm, wellknown::kXpu, wellknown::kPcieSc));
         auto tlp = decodeTlp(entry.encoded);
         ASSERT_TRUE(tlp.has_value()) << entry.name;
-        const sc::FilterVerdict verdict = filter.classifyEx(*tlp);
+        const backend::FilterVerdict verdict = filter.classifyEx(*tlp);
         EXPECT_EQ(verdict.action, entry.action) << entry.name;
         EXPECT_EQ(verdict.reason, entry.reason) << entry.name;
         EXPECT_EQ(filter.blockedFor(entry.reason), 1u) << entry.name;
@@ -94,7 +94,7 @@ TEST(CorpusReplay, BootedPlatformReproducesEveryVerdict)
         auto tlp = decodeTlp(entry.encoded);
         ASSERT_TRUE(tlp.has_value()) << entry.name;
         const std::uint64_t before = filter.blockedFor(entry.reason);
-        const sc::FilterVerdict verdict = filter.classifyEx(*tlp);
+        const backend::FilterVerdict verdict = filter.classifyEx(*tlp);
         EXPECT_EQ(verdict.action, entry.action) << entry.name;
         EXPECT_EQ(verdict.reason, entry.reason) << entry.name;
         EXPECT_EQ(filter.blockedFor(entry.reason), before + 1)
@@ -107,9 +107,10 @@ TEST(CorpusReplay, ReplayIsDeterministicUnderFixedSeed)
     // Corpus replay involves no randomness at all — same verdicts in
     // both passes, TLB warm or cold.
     sc::PacketFilter filter;
-    filter.install(sc::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                     wellknown::kPcieSc));
-    std::vector<std::pair<sc::SecurityAction, sc::BlockReason>> first;
+    filter.install(backend::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
+                                          wellknown::kPcieSc));
+    std::vector<std::pair<backend::SecurityAction, backend::BlockReason>>
+        first;
     for (const auto &entry : corpus()) {
         auto tlp = decodeTlp(entry.encoded);
         ASSERT_TRUE(tlp.has_value());

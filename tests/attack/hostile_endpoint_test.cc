@@ -15,8 +15,8 @@
 
 #include "attack/hostile_endpoint.hh"
 #include "attack/tlp_fuzzer.hh"
+#include "backend/policy.hh"
 #include "ccai/platform.hh"
-#include "sc/rules.hh"
 
 using namespace ccai;
 using namespace ccai::pcie;
@@ -51,18 +51,18 @@ class SinkNode : public PcieNode
 TEST(SeedCatalog, EveryClassBlockedByDefaultPolicy)
 {
     sc::PacketFilter filter;
-    filter.install(sc::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                     wellknown::kPcieSc));
+    filter.install(backend::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
+                                          wellknown::kPcieSc));
     std::set<std::string> names;
-    std::set<sc::BlockReason> reasons;
+    std::set<backend::BlockReason> reasons;
     const auto seeds = adversarialSeedTlps();
     ASSERT_GE(seeds.size(), 25u);
     for (const auto &seed : seeds) {
-        const sc::FilterVerdict verdict = filter.classifyEx(seed.tlp);
+        const backend::FilterVerdict verdict = filter.classifyEx(seed.tlp);
         EXPECT_TRUE(verdict.blocked())
             << seed.name << " was admitted with action "
-            << sc::securityActionName(verdict.action);
-        EXPECT_NE(verdict.reason, sc::BlockReason::None) << seed.name;
+            << backend::securityActionName(verdict.action);
+        EXPECT_NE(verdict.reason, backend::BlockReason::None) << seed.name;
         EXPECT_TRUE(names.insert(seed.name).second)
             << "duplicate catalog name " << seed.name;
         reasons.insert(verdict.reason);
@@ -174,18 +174,18 @@ TEST(HostileEndpoint, EndToEndSessionBlockedAndCounted)
     EXPECT_GE(evil.aborts(), 1u);
 
     auto &filter = p.pcieSc()->filter();
-    EXPECT_GE(filter.blockedFor(sc::BlockReason::L2DenyRule), 2u);
-    EXPECT_GE(filter.blockedFor(sc::BlockReason::L2NoMatch), 1u);
-    EXPECT_GE(filter.blockedFor(sc::BlockReason::L1DenyDefault), 1u);
-    EXPECT_GE(filter.blockedFor(sc::BlockReason::MalformedFmt), 1u);
-    EXPECT_GE(filter.blockedFor(sc::BlockReason::MalformedLength), 2u);
+    EXPECT_GE(filter.blockedFor(backend::BlockReason::L2DenyRule), 2u);
+    EXPECT_GE(filter.blockedFor(backend::BlockReason::L2NoMatch), 1u);
+    EXPECT_GE(filter.blockedFor(backend::BlockReason::L1DenyDefault), 1u);
+    EXPECT_GE(filter.blockedFor(backend::BlockReason::MalformedFmt), 1u);
+    EXPECT_GE(filter.blockedFor(backend::BlockReason::MalformedLength), 2u);
 
     // The same tallies surface as schema-validated obs counters.
     auto &stats = p.pcieSc()->stats();
     EXPECT_EQ(stats.counterHandle("blocked_l2_deny_rule").value(),
-              filter.blockedFor(sc::BlockReason::L2DenyRule));
+              filter.blockedFor(backend::BlockReason::L2DenyRule));
     EXPECT_EQ(stats.counterHandle("blocked_malformed_fmt").value(),
-              filter.blockedFor(sc::BlockReason::MalformedFmt));
+              filter.blockedFor(backend::BlockReason::MalformedFmt));
     const std::string json = p.exportMetricsJson(false);
     EXPECT_NE(json.find("blocked_l2_deny_rule"), std::string::npos);
     EXPECT_NE(json.find("blocked_malformed_length"),

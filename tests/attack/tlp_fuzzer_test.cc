@@ -15,7 +15,7 @@
 #include <set>
 
 #include "attack/tlp_fuzzer.hh"
-#include "sc/rules.hh"
+#include "backend/policy.hh"
 #include "sim/rng.hh"
 
 using namespace ccai;
@@ -122,13 +122,13 @@ TEST(TlpFuzzer, HealthyPolicyYieldsNoOracleViolations)
     // Several malformed + rule-level reasons observed.
     const auto &byReason = fuzzer->stats().blockedByReason;
     EXPECT_GT(byReason[static_cast<std::size_t>(
-                  sc::BlockReason::MalformedLength)],
+                  backend::BlockReason::MalformedLength)],
               0u);
     EXPECT_GT(byReason[static_cast<std::size_t>(
-                  sc::BlockReason::L1DenyDefault)],
+                  backend::BlockReason::L1DenyDefault)],
               0u);
     EXPECT_GT(byReason[static_cast<std::size_t>(
-                  sc::BlockReason::L2DenyRule)],
+                  backend::BlockReason::L2DenyRule)],
               0u);
 }
 
@@ -136,15 +136,15 @@ TEST(TlpFuzzer, CorpusEntriesReplayToTheirRecordedVerdict)
 {
     const auto fuzzer = runOne(0xBEEF, 10000);
     sc::PacketFilter replay;
-    replay.install(sc::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                     wellknown::kPcieSc));
+    replay.install(backend::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
+                                          wellknown::kPcieSc));
     std::set<std::string> names;
     for (const auto &entry : fuzzer->corpus()) {
         EXPECT_TRUE(names.insert(entry.name).second)
             << "duplicate corpus name " << entry.name;
         auto tlp = decodeTlp(entry.encoded);
         ASSERT_TRUE(tlp.has_value()) << entry.name;
-        const sc::FilterVerdict verdict = replay.classifyEx(*tlp);
+        const backend::FilterVerdict verdict = replay.classifyEx(*tlp);
         EXPECT_EQ(verdict.action, entry.action) << entry.name;
         EXPECT_EQ(verdict.reason, entry.reason) << entry.name;
     }

@@ -134,16 +134,16 @@ TEST(VendorMessages, DeviceInterruptsStillTransparent)
 
 TEST(VendorMessages, RuleSerializationPreservesMsgCodeSelector)
 {
-    sc::L2Rule rule;
+    backend::L2Rule rule;
     rule.type = pcie::TlpType::Message;
     rule.anyRequester = false;
     rule.requester = pcie::wellknown::kTvm;
     rule.anyCompleter = true;
     rule.anyMsgCode = false;
     rule.msgCode = pcie::MsgCode::VendorDefined;
-    rule.action = sc::SecurityAction::A3_PlainIntegrity;
+    rule.action = backend::SecurityAction::A3_PlainIntegrity;
 
-    sc::L2Rule back = sc::L2Rule::deserialize(rule.serialize());
+    backend::L2Rule back = backend::L2Rule::deserialize(rule.serialize());
     EXPECT_EQ(back.anyMsgCode, rule.anyMsgCode);
     EXPECT_EQ(back.msgCode, rule.msgCode);
 

@@ -9,6 +9,7 @@
 
 #include "ccai/experiment.hh"
 #include "ccai/platform.hh"
+#include "llm/roofline.hh"
 
 using namespace ccai;
 using namespace ccai::llm;
@@ -121,18 +122,25 @@ TEST(InferenceConfig, DefaultOutputTokensChatShaped)
 namespace
 {
 
-InferenceEngine
-makeEngine(Platform &platform, const InferenceConfig &cfg)
+/** Per-layer roofline times, as the engine prices each layer. */
+Tick
+prefillLayer(const InferenceConfig &c)
 {
-    return InferenceEngine(platform.system(), "engine",
-                           platform.runtime(), cfg);
+    return prefillTicks(c.model, c.device, c.batch, c.inTokens,
+                        c.model.layers);
+}
+
+Tick
+decodeLayer(const InferenceConfig &c, std::uint32_t seqLen)
+{
+    return decodeTicks(c.model, c.device, c.batch, seqLen,
+                       c.model.layers);
 }
 
 } // namespace
 
 TEST(InferenceEngine, CostModelScalesWithTokensAndBatch)
 {
-    Platform p(PlatformConfig{.secure = false});
     InferenceConfig small;
     small.inTokens = 64;
     small.batch = 1;
@@ -141,28 +149,20 @@ TEST(InferenceEngine, CostModelScalesWithTokensAndBatch)
     InferenceConfig batched = small;
     batched.batch = 32;
 
-    auto e_small = makeEngine(p, small);
-    auto e_big = makeEngine(p, big);
-    auto e_batched = makeEngine(p, batched);
-    EXPECT_GT(e_big.prefillLayerTime(), e_small.prefillLayerTime());
-    EXPECT_GT(e_batched.prefillLayerTime(),
-              e_small.prefillLayerTime());
+    EXPECT_GT(prefillLayer(big), prefillLayer(small));
+    EXPECT_GT(prefillLayer(batched), prefillLayer(small));
     // Decode is bandwidth-bound at batch 1: longer context costs
     // more KV traffic.
-    EXPECT_GT(e_small.decodeLayerTime(4096),
-              e_small.decodeLayerTime(64));
+    EXPECT_GT(decodeLayer(small, 4096), decodeLayer(small, 64));
 }
 
 TEST(InferenceEngine, DecodeFasterOnFasterDevice)
 {
-    Platform p(PlatformConfig{.secure = false});
     InferenceConfig on_a100;
     on_a100.device = xpu::XpuSpec::a100();
     InferenceConfig on_t4 = on_a100;
     on_t4.device = xpu::XpuSpec::t4();
-    auto e_a100 = makeEngine(p, on_a100);
-    auto e_t4 = makeEngine(p, on_t4);
-    EXPECT_LT(e_a100.decodeLayerTime(128), e_t4.decodeLayerTime(128));
+    EXPECT_LT(decodeLayer(on_a100, 128), decodeLayer(on_t4, 128));
 }
 
 TEST(InferenceEngine, VanillaRunProducesSaneMetrics)

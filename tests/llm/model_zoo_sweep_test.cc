@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "ccai/experiment.hh"
+#include "llm/roofline.hh"
 
 using namespace ccai;
 using namespace ccai::llm;
@@ -46,18 +47,14 @@ TEST_P(ModelZooSweep, QuantizedModelsFitTheA100)
 
 TEST_P(ModelZooSweep, CostModelOrderings)
 {
-    Platform p(PlatformConfig{.secure = false});
-    InferenceConfig cfg;
-    cfg.model = model();
-    cfg.batch = 1;
-    cfg.inTokens = 128;
-    InferenceEngine engine(p.system(), "e", p.runtime(), cfg);
+    const ModelSpec &m = model();
+    const xpu::XpuSpec &d = xpu::XpuSpec::a100();
 
-    EXPECT_GT(engine.prefillLayerTime(), 0u);
-    EXPECT_GT(engine.decodeLayerTime(1), 0u);
+    EXPECT_GT(prefillTicks(m, d, 1, 128, m.layers), 0u);
+    EXPECT_GT(decodeTicks(m, d, 1, 1, m.layers), 0u);
     // Longer context costs more KV bandwidth.
-    EXPECT_GT(engine.decodeLayerTime(8192),
-              engine.decodeLayerTime(1));
+    EXPECT_GT(decodeTicks(m, d, 1, 8192, m.layers),
+              decodeTicks(m, d, 1, 1, m.layers));
 }
 
 TEST_P(ModelZooSweep, ShortVanillaInferenceSaneMetrics)

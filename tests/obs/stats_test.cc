@@ -16,7 +16,6 @@
 #include "obs/json.hh"
 #include "obs/metric_group.hh"
 #include "obs/stats.hh"
-#include "sim/stats.hh"
 
 using namespace ccai;
 using obs::Distribution;
@@ -250,8 +249,8 @@ TEST(MetricGroup, HandleIdentityAndAliasing)
 TEST(MetricGroup, DumpFormatUnchanged)
 {
     // The historical "prefix.name value" dump format components and
-    // tests rely on, via the sim::StatGroup alias.
-    sim::StatGroup g("adaptor");
+    // tests rely on.
+    obs::MetricGroup g("adaptor");
     g.counterHandle("h2d_bytes").inc(1024);
     g.counterHandle("a1_blocked");
     std::string dump = g.dump();

@@ -23,14 +23,14 @@ namespace
 {
 
 /** Allow-all L1 plus one any-match L2 rule with @p action. */
-RuleTables
-uniformPolicy(SecurityAction action)
+backend::RuleTables
+uniformPolicy(backend::SecurityAction action)
 {
-    RuleTables tables;
-    L1Rule to_l2;
-    to_l2.verdict = L1Verdict::ToL2Table;
+    backend::RuleTables tables;
+    backend::L1Rule to_l2;
+    to_l2.verdict = backend::L1Verdict::ToL2Table;
     tables.addL1(to_l2);
-    L2Rule rule;
+    backend::L2Rule rule;
     rule.type = TlpType::MemWrite;
     rule.anyRequester = true;
     rule.anyCompleter = true;
@@ -45,8 +45,8 @@ uniformPolicy(SecurityAction action)
 TEST(RuleTlb, SteadyStateStreamingHits)
 {
     PacketFilter filter;
-    filter.install(defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                 wellknown::kPcieSc));
+    filter.install(backend::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
+                                          wellknown::kPcieSc));
 
     // A 4 KiB-chunk transfer mix as the xPU's DMA engines emit it:
     // reads walking the H2D bounce window, writes walking the D2H
@@ -56,13 +56,14 @@ TEST(RuleTlb, SteadyStateStreamingHits)
     const int kChunks = 500;
     for (int i = 0; i < kChunks; ++i) {
         Addr off = std::uint64_t(i) * 4096;
-        SecurityAction rd = filter.classify(Tlp::makeMemRead(
+        backend::SecurityAction rd = filter.classify(Tlp::makeMemRead(
             wellknown::kXpu, mm::kBounceH2d.base + off, 4096,
             static_cast<std::uint8_t>(i)));
-        EXPECT_EQ(rd, SecurityAction::A4_Transparent);
-        SecurityAction wr = filter.classify(Tlp::makeMemWriteSynthetic(
-            wellknown::kXpu, mm::kBounceD2h.base + off, 4096));
-        EXPECT_EQ(wr, SecurityAction::A2_CryptIntegrity);
+        EXPECT_EQ(rd, backend::SecurityAction::A4_Transparent);
+        backend::SecurityAction wr =
+            filter.classify(Tlp::makeMemWriteSynthetic(
+                wellknown::kXpu, mm::kBounceD2h.base + off, 4096));
+        EXPECT_EQ(wr, backend::SecurityAction::A2_CryptIntegrity);
     }
     EXPECT_EQ(filter.tlbHits() + filter.tlbMisses(),
               std::uint64_t(2 * kChunks));
@@ -75,8 +76,8 @@ TEST(RuleTlb, CachedVerdictMatchesTableWalk)
     // Every cached classification must equal what the full walk
     // produces — sweep a mixed TLP population twice and compare the
     // second (warm) pass against a TLB-less reference filter.
-    RuleTables policy = defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                      wellknown::kPcieSc);
+    backend::RuleTables policy = backend::defaultPolicy(
+        wellknown::kTvm, wellknown::kXpu, wellknown::kPcieSc);
     PacketFilter warm;
     warm.install(policy);
 
@@ -104,8 +105,8 @@ TEST(RuleTlb, AliasingRequestersEvictButStayCorrect)
     // entries: massive eviction pressure, yet every verdict must
     // still be the deny default.
     PacketFilter filter;
-    filter.install(defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                 wellknown::kPcieSc));
+    filter.install(backend::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
+                                          wellknown::kPcieSc));
     std::uint64_t rogues = 0;
     for (std::uint32_t raw = 1; raw <= 4096; ++raw) {
         Bdf bdf = Bdf::fromRaw(static_cast<std::uint16_t>(raw));
@@ -115,7 +116,8 @@ TEST(RuleTlb, AliasingRequestersEvictButStayCorrect)
         ++rogues;
         Tlp probe =
             Tlp::makeMemWriteSynthetic(bdf, mm::kXpuMmio.base, 64);
-        EXPECT_EQ(filter.classify(probe), SecurityAction::A1_Disallow);
+        EXPECT_EQ(filter.classify(probe),
+                  backend::SecurityAction::A1_Disallow);
     }
     EXPECT_EQ(filter.blocked(), rogues);
     // Re-walking the same population aliases through the same 64
@@ -130,19 +132,20 @@ TEST(RuleTlb, PolicyFlipVisibleOnNextTlp)
     Bytes key = rng.bytes(16);
     PacketFilter filter;
     filter.setConfigKey(key);
-    filter.install(uniformPolicy(SecurityAction::A4_Transparent));
+    filter.install(uniformPolicy(backend::SecurityAction::A4_Transparent));
 
     Tlp probe = Tlp::makeMemWriteSynthetic(wellknown::kRogueVm,
                                            mm::kXpuVram.base, 4096);
-    EXPECT_EQ(filter.classify(probe), SecurityAction::A4_Transparent);
-    EXPECT_EQ(filter.classify(probe), SecurityAction::A4_Transparent);
+    EXPECT_EQ(filter.classify(probe), backend::SecurityAction::A4_Transparent);
+    EXPECT_EQ(filter.classify(probe), backend::SecurityAction::A4_Transparent);
     EXPECT_EQ(filter.tlbHits(), 1u);
 
     // Authenticated flip to deny-everything: the very next TLP must
     // see the new policy — a stale TLB entry here would be a
     // security hole, not a performance bug.
     std::uint32_t genBefore = filter.policyGeneration();
-    RuleTables deny = uniformPolicy(SecurityAction::A1_Disallow);
+    backend::RuleTables deny =
+        uniformPolicy(backend::SecurityAction::A1_Disallow);
     crypto::AesGcm gcm(key);
     Bytes iv = rng.bytes(12);
     auto sealed = gcm.seal(iv, deny.serialize());
@@ -152,7 +155,7 @@ TEST(RuleTlb, PolicyFlipVisibleOnNextTlp)
     EXPECT_EQ(filter.lookupDelay(probe),
               FilterTiming{}.l1LookupLatency +
                   FilterTiming{}.l2LookupLatency);
-    EXPECT_EQ(filter.classify(probe), SecurityAction::A1_Disallow);
+    EXPECT_EQ(filter.classify(probe), backend::SecurityAction::A1_Disallow);
     EXPECT_EQ(filter.blocked(), 1u);
 }
 
@@ -162,7 +165,7 @@ TEST(RuleTlb, RejectedConfigLeavesCacheWarm)
     Bytes key = rng.bytes(16);
     PacketFilter filter;
     filter.setConfigKey(key);
-    filter.install(uniformPolicy(SecurityAction::A4_Transparent));
+    filter.install(uniformPolicy(backend::SecurityAction::A4_Transparent));
 
     Tlp probe = Tlp::makeMemWriteSynthetic(wellknown::kTvm,
                                            mm::kXpuVram.base, 4096);
@@ -174,12 +177,12 @@ TEST(RuleTlb, RejectedConfigLeavesCacheWarm)
     crypto::AesGcm wrongKey(rng.bytes(16));
     Bytes iv = rng.bytes(12);
     auto sealed = wrongKey.seal(
-        iv, uniformPolicy(SecurityAction::A1_Disallow).serialize());
+        iv, uniformPolicy(backend::SecurityAction::A1_Disallow).serialize());
     EXPECT_FALSE(
         filter.applyEncryptedConfig(iv, sealed.ciphertext, sealed.tag));
     EXPECT_EQ(filter.policyGeneration(), gen);
     EXPECT_EQ(filter.lookupDelay(probe), FilterTiming{}.tlbHitLatency);
-    EXPECT_EQ(filter.classify(probe), SecurityAction::A4_Transparent);
+    EXPECT_EQ(filter.classify(probe), backend::SecurityAction::A4_Transparent);
     EXPECT_EQ(filter.tlbHits(), 1u);
 }
 
@@ -190,8 +193,8 @@ TEST(RuleTlb, BurstAmortizationExposedViaUnitCounter)
     // unitsClassified() exposes the amortization so the per-unit
     // filter cost can be computed.
     PacketFilter filter;
-    filter.install(defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                 wellknown::kPcieSc));
+    filter.install(backend::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
+                                          wellknown::kPcieSc));
     Tlp small = Tlp::makeMemWriteSynthetic(wellknown::kTvm,
                                            mm::kBounceH2d.base, 128);
     Tlp burst = Tlp::makeMemWriteSynthetic(

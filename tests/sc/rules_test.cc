@@ -7,11 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/policy.hh"
 #include "pcie/memory_map.hh"
-#include "sc/rules.hh"
 
 using namespace ccai;
-using namespace ccai::sc;
+using namespace ccai::backend;
 using namespace ccai::pcie;
 namespace mm = ccai::pcie::memmap;
 

@@ -28,8 +28,8 @@ namespace mm = ccai::pcie::memmap;
 TEST(PacketFilter, CountsClassificationsAndBlocks)
 {
     PacketFilter filter;
-    filter.install(defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                 wellknown::kPcieSc));
+    filter.install(backend::defaultPolicy(wellknown::kTvm, wellknown::kXpu,
+                                          wellknown::kPcieSc));
     filter.classify(
         Tlp::makeMemWrite(wellknown::kTvm,
                           mm::kXpuMmio.base + mm::xpureg::kCmdQueueBase,
@@ -61,8 +61,8 @@ TEST(PacketFilter, EncryptedConfigApplies)
     PacketFilter filter;
     filter.setConfigKey(key);
 
-    RuleTables tables = defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                      wellknown::kPcieSc);
+    backend::RuleTables tables = backend::defaultPolicy(
+        wellknown::kTvm, wellknown::kXpu, wellknown::kPcieSc);
     crypto::AesGcm gcm(key);
     Bytes iv = rng.bytes(12);
     auto sealed = gcm.seal(iv, tables.serialize());
@@ -78,9 +78,9 @@ TEST(PacketFilter, InjectedConfigRejected)
     filter.setConfigKey(rng.bytes(16));
 
     // Adversary without the config key forges a permissive policy.
-    RuleTables evil;
-    L1Rule allow_all;
-    allow_all.verdict = L1Verdict::ToL2Table;
+    backend::RuleTables evil;
+    backend::L1Rule allow_all;
+    allow_all.verdict = backend::L1Verdict::ToL2Table;
     evil.addL1(allow_all);
     crypto::AesGcm wrong_key(rng.bytes(16));
     Bytes iv = rng.bytes(12);
@@ -92,7 +92,7 @@ TEST(PacketFilter, InjectedConfigRejected)
     // Original (deny-all) behaviour intact.
     EXPECT_EQ(filter.classify(Tlp::makeMemWrite(wellknown::kRogueVm,
                                                 0x1, Bytes{1})),
-              SecurityAction::A1_Disallow);
+              backend::SecurityAction::A1_Disallow);
 }
 
 TEST(PacketFilter, TamperedConfigCiphertextRejected)
@@ -102,8 +102,8 @@ TEST(PacketFilter, TamperedConfigCiphertextRejected)
     PacketFilter filter;
     filter.setConfigKey(key);
 
-    RuleTables tables = defaultPolicy(wellknown::kTvm, wellknown::kXpu,
-                                      wellknown::kPcieSc);
+    backend::RuleTables tables = backend::defaultPolicy(
+        wellknown::kTvm, wellknown::kXpu, wellknown::kPcieSc);
     crypto::AesGcm gcm(key);
     Bytes iv = rng.bytes(12);
     auto sealed = gcm.seal(iv, tables.serialize());

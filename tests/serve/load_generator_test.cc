@@ -1,12 +1,14 @@
 /**
  * @file
  * Load-generator tests: deterministic replay, SLO accounting,
- * trace-driven arrivals, per-tenant stream isolation, and drain
- * semantics on the heterogeneous fleet.
+ * trace-driven arrivals, per-tenant stream isolation, drain
+ * semantics on the heterogeneous fleet, and a cross-check of the
+ * serve roofline against the packet-level inference engine.
  */
 
 #include <gtest/gtest.h>
 
+#include "ccai/experiment.hh"
 #include "serve/arrival.hh"
 #include "serve/load_generator.hh"
 #include "sim/sim_object.hh"
@@ -211,6 +213,59 @@ TEST(LoadGenerator, ResetReplaysIdentically)
     EXPECT_EQ(first.ttftP50, second.ttftP50);
     EXPECT_EQ(first.e2eP99, second.e2eP99);
     EXPECT_EQ(first.simSeconds, second.simSeconds);
+}
+
+TEST(ServeRoofline, MatchesPacketPathOnAnIdleDevice)
+{
+    // One vanilla request on an idle device, priced by the packet-
+    // level engine and by a one-tenant fleet. Both use the shared
+    // roofline; the engine pays a launch for every kernel of every
+    // layer where serve pays one per pass, and the rest of the gap
+    // is the engine's PCIe transfers (prompt, logits, token ids).
+    struct Case
+    {
+        xpu::XpuSpec device;
+        llm::ModelSpec model;
+    };
+    const Case cases[] = {
+        {xpu::XpuSpec::a100(), llm::ModelSpec::llama2_7b()},
+        {xpu::XpuSpec::t4(), llm::ModelSpec::opt1b3()},
+    };
+    constexpr std::uint32_t kPrompt = 128;
+    constexpr std::uint32_t kGen = 32;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.device.name + " / " + c.model.name);
+        llm::InferenceConfig inf;
+        inf.model = c.model;
+        inf.batch = 1;
+        inf.inTokens = kPrompt;
+        inf.outTokens = kGen;
+        PlatformConfig platform;
+        platform.secure = false;
+        platform.xpuSpec = c.device;
+        const double engineE2e = runInference(platform, inf).e2eSeconds;
+
+        ServeConfig cfg;
+        cfg.tenants = 1;
+        cfg.maxRequestsPerTenant = 1;
+        cfg.secure = false;
+        cfg.model = c.model;
+        cfg.fleet = {c.device};
+        cfg.profile.traceGaps = {kTicksPerSec};
+        cfg.profile.promptTokens = kPrompt;
+        cfg.profile.genTokens = kGen;
+        const RunResult r = runOnce(cfg);
+        ASSERT_EQ(r.report.completed, 1u);
+        const double serveE2e = r.report.e2eP50;
+
+        const Tick launchGap =
+            Tick(c.model.layers * c.model.kernelsPerLayer - 1) *
+            c.device.kernelLaunchOverhead * (1 + kGen);
+        const double rest =
+            engineE2e - serveE2e - ticksToSeconds(launchGap);
+        EXPECT_GE(rest, 0.0);
+        EXPECT_LE(rest, 0.01 * engineE2e);
+    }
 }
 
 TEST(ArrivalProcess, PoissonGapsArePositiveAndDeterministic)

@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metric_group.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
-#include "sim/stats.hh"
 
 using namespace ccai;
 using namespace ccai::sim;
@@ -126,7 +126,7 @@ TEST(SimObject, RegistersWithSystem)
 
 TEST(Stats, CounterBasics)
 {
-    Counter c;
+    obs::Counter c;
     c.inc();
     c.inc(5);
     EXPECT_EQ(c.value(), 6u);
@@ -136,7 +136,7 @@ TEST(Stats, CounterBasics)
 
 TEST(Stats, DistributionMoments)
 {
-    Distribution d;
+    obs::Distribution d;
     for (double v : {1.0, 2.0, 3.0, 4.0})
         d.sample(v);
     EXPECT_EQ(d.count(), 4u);
@@ -148,7 +148,7 @@ TEST(Stats, DistributionMoments)
 
 TEST(Stats, GroupDump)
 {
-    StatGroup g("unit");
+    obs::MetricGroup g("unit");
     g.counterHandle("hits").inc(3);
     g.distributionHandle("lat").sample(1.0);
     std::string dump = g.dump();

@@ -101,7 +101,7 @@ TEST(Adaptor, PolicyUpdateReachesController)
     auto *sc = p.pcieSc();
     std::uint64_t before = sc->filter().classified();
 
-    p.adaptor()->pktFilterManage(sc::defaultPolicy(
+    p.adaptor()->pktFilterManage(backend::defaultPolicy(
         wellknown::kTvm, wellknown::kXpu, wellknown::kPcieSc));
     p.run();
     // The encrypted config write itself got classified (A2) and the

@@ -104,10 +104,10 @@ printText(const TlpFuzzer &fuzzer, std::size_t freshFiles)
     std::printf("oracle violations: %llu\n",
                 static_cast<unsigned long long>(s.oracleViolations));
     std::printf("blocked by reason:\n");
-    for (std::size_t i = 1; i < sc::kBlockReasonCount; ++i)
+    for (std::size_t i = 1; i < backend::kBlockReasonCount; ++i)
         std::printf("  %-20s %llu\n",
-                    sc::blockReasonName(
-                        static_cast<sc::BlockReason>(i)),
+                    backend::blockReasonName(
+                        static_cast<backend::BlockReason>(i)),
                     static_cast<unsigned long long>(
                         s.blockedByReason[i]));
     for (const auto &v : fuzzer.violations())
@@ -138,13 +138,13 @@ printJson(const TlpFuzzer &fuzzer, std::uint64_t seed,
     std::printf("  \"oracle_violations\": %llu,\n",
                 static_cast<unsigned long long>(s.oracleViolations));
     std::printf("  \"blocked_by_reason\": {\n");
-    for (std::size_t i = 1; i < sc::kBlockReasonCount; ++i)
+    for (std::size_t i = 1; i < backend::kBlockReasonCount; ++i)
         std::printf("    \"%s\": %llu%s\n",
-                    sc::blockReasonName(
-                        static_cast<sc::BlockReason>(i)),
+                    backend::blockReasonName(
+                        static_cast<backend::BlockReason>(i)),
                     static_cast<unsigned long long>(
                         s.blockedByReason[i]),
-                    i + 1 < sc::kBlockReasonCount ? "," : "");
+                    i + 1 < backend::kBlockReasonCount ? "," : "");
     std::printf("  }\n}\n");
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks of the simulation substrate: the
  * Packet Filter's classification rate, rule-table serialization,
- * event-queue throughput, and chunk-record codec — the host-side
- * costs that bound how fast the simulator itself runs.
+ * event-queue throughput, a fresh Rng's first draw, the fleet
+ * router's placement, and chunk-record codec — the host-side costs
+ * that bound how fast the simulator itself runs.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,7 +12,9 @@
 #include "backend/policy.hh"
 #include "pcie/memory_map.hh"
 #include "sc/control_panels.hh"
+#include "serve/router.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 
 using namespace ccai;
 using namespace ccai::pcie;
@@ -80,6 +83,39 @@ BM_EventQueueThroughput(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueThroughput);
+
+/** A serve tenant's stream: seeded, then drawn once or twice. */
+static void
+BM_RngFirstDraw(benchmark::State &state)
+{
+    std::uint64_t seed = 0x53C41;
+    benchmark::DoNotOptimize(seed);
+    for (auto _ : state) {
+        sim::Rng rng(seed++);
+        benchmark::DoNotOptimize(rng.uniform01());
+    }
+}
+BENCHMARK(BM_RngFirstDraw);
+
+/** One placement on a 1000-device fleet: book the last pick's
+ * backlog, then pick again, as the serve load generator does. */
+static void
+BM_FleetRouterPick(benchmark::State &state)
+{
+    sim::Rng rng(1);
+    std::vector<Tick> estimates(1000);
+    for (Tick &est : estimates)
+        est = rng.uniform(kTicksPerMs, 40 * kTicksPerMs);
+    serve::FleetRouter router(std::move(estimates));
+    std::uint32_t d = 0;
+    for (auto _ : state) {
+        router.addBacklog(d, router.serviceEstimate(d));
+        d = *router.pick();
+        benchmark::DoNotOptimize(d);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FleetRouterPick);
 
 static void
 BM_ChunkRecordCodec(benchmark::State &state)

@@ -71,7 +71,7 @@ LoadGenerator::LoadGenerator(sim::System &sys, std::string name,
       config_(normalized(config)),
       cost_(backend::costModelFor(config_.protection)),
       admission_(config_.admission, config_.tenants),
-      router_(static_cast<std::uint32_t>(config_.fleet.size())),
+      router_(serviceEstimates()),
       stats_(sys.metrics(), this->name()), s_(stats_)
 {
     if (config_.tenants == 0)
@@ -181,12 +181,12 @@ LoadGenerator::secureScaled(Tick t) const
 }
 
 Tick
-LoadGenerator::prefillTicks(const DeviceState &dev) const
+LoadGenerator::prefillTicks(const xpu::XpuSpec &spec) const
 {
     // Whole-model roofline (one part) plus one launch per pass.
-    Tick t = llm::prefillTicks(config_.model, dev.spec, 1,
+    Tick t = llm::prefillTicks(config_.model, spec, 1,
                                config_.profile.promptTokens, 1) +
-             dev.spec.kernelLaunchOverhead;
+             spec.kernelLaunchOverhead;
     t = secureScaled(t);
     if (config_.secure)
         t += cost_.perRequestSetup;
@@ -194,26 +194,32 @@ LoadGenerator::prefillTicks(const DeviceState &dev) const
 }
 
 Tick
-LoadGenerator::decodeStepTicks(const DeviceState &dev,
+LoadGenerator::decodeStepTicks(const xpu::XpuSpec &spec,
                                std::uint32_t seqLen) const
 {
-    Tick t = llm::decodeTicks(config_.model, dev.spec, 1, seqLen, 1) +
-             dev.spec.kernelLaunchOverhead;
+    Tick t = llm::decodeTicks(config_.model, spec, 1, seqLen, 1) +
+             spec.kernelLaunchOverhead;
     return secureScaled(t);
 }
 
-Tick
-LoadGenerator::serviceEstimate(std::uint32_t device) const
+std::vector<Tick>
+LoadGenerator::serviceEstimates() const
 {
-    // Whole-request roofline estimate on this device: prefill plus
+    // Whole-request roofline estimate per device: prefill plus
     // genTokens decode steps at the mid-sequence length. Used for
-    // routing scores, backlog accounting and deadline feasibility.
-    const DeviceState &dev = *devices_[device];
-    return prefillTicks(dev) +
-           static_cast<Tick>(config_.profile.genTokens) *
-               decodeStepTicks(dev, config_.profile.promptTokens +
-                                        config_.profile.genTokens /
-                                            2);
+    // routing, backlog accounting and deadline feasibility. It
+    // depends only on the spec, the fixed profile and the cost
+    // model, so it is computed once, before the router exists.
+    std::vector<Tick> estimates;
+    estimates.reserve(config_.fleet.size());
+    for (const xpu::XpuSpec &spec : config_.fleet)
+        estimates.push_back(
+            prefillTicks(spec) +
+            static_cast<Tick>(config_.profile.genTokens) *
+                decodeStepTicks(spec, config_.profile.promptTokens +
+                                          config_.profile.genTokens /
+                                              2));
+    return estimates;
 }
 
 void
@@ -251,9 +257,7 @@ LoadGenerator::attemptAdmit(Request req, bool rerouted)
 
     std::optional<std::uint32_t> device;
     if (config_.leastLoadedRouting) {
-        device = router_.pick([this, &req](std::uint32_t d) {
-            return serviceEstimate(d) + req.extraSetup;
-        });
+        device = router_.pick();
     } else if (router_.healthy(tenants_[req.tenant]->device)) {
         device = tenants_[req.tenant]->device;
     }
@@ -383,10 +387,10 @@ LoadGenerator::enqueue(Request req, std::uint32_t device)
 {
     DeviceState &dev = *devices_[device];
     req.estimate = serviceEstimate(device) + req.extraSetup;
-    DeviceStatus &st = router_.device(device);
-    st.backlogTicks += req.estimate;
+    router_.addBacklog(device, req.estimate);
     dev.queue.push_back(std::move(req));
-    st.queueDepth = static_cast<std::uint32_t>(dev.queue.size());
+    router_.setQueueDepth(device,
+                          static_cast<std::uint32_t>(dev.queue.size()));
     if (!dev.busy && router_.healthy(device))
         startNext(device);
 }
@@ -395,7 +399,6 @@ void
 LoadGenerator::startNext(std::uint32_t device)
 {
     DeviceState &dev = *devices_[device];
-    DeviceStatus &st = router_.device(device);
     while (true) {
         if (dev.queue.empty()) {
             dev.busy = false;
@@ -403,15 +406,14 @@ LoadGenerator::startNext(std::uint32_t device)
         }
         Request req = std::move(dev.queue.front());
         dev.queue.pop_front();
-        st.queueDepth =
-            static_cast<std::uint32_t>(dev.queue.size());
+        router_.setQueueDepth(
+            device, static_cast<std::uint32_t>(dev.queue.size()));
         // Second deadline gate at dispatch: the admission-time
         // estimate can be stale after crashes or queue churn.
         if (admission_.config().enabled &&
             admission_.config().deadlineShedding &&
             curTick() + req.estimate > req.deadline) {
-            st.backlogTicks -=
-                std::min(st.backlogTicks, req.estimate);
+            router_.releaseBacklog(device, req.estimate);
             ++shedOnDeadline_;
             s_.shedOnDeadline.inc();
             continue;
@@ -421,7 +423,7 @@ LoadGenerator::startNext(std::uint32_t device)
         Tick setup = req.extraSetup;
         dev.active = std::move(req);
         eventq().rescheduleIn(&dev.stepTimer,
-                              prefillTicks(dev) + setup);
+                              prefillTicks(dev.spec) + setup);
         return;
     }
 }
@@ -446,7 +448,7 @@ LoadGenerator::onDeviceStep(std::uint32_t device)
         }
         eventq().rescheduleIn(
             &dev.stepTimer,
-            decodeStepTicks(dev, config_.profile.promptTokens));
+            decodeStepTicks(dev.spec, config_.profile.promptTokens));
         return;
     }
 
@@ -454,8 +456,8 @@ LoadGenerator::onDeviceStep(std::uint32_t device)
     if (req.stepsDone < config_.profile.genTokens) {
         eventq().rescheduleIn(
             &dev.stepTimer,
-            decodeStepTicks(dev, config_.profile.promptTokens +
-                                     req.stepsDone));
+            decodeStepTicks(dev.spec, config_.profile.promptTokens +
+                                          req.stepsDone));
         return;
     }
 
@@ -489,8 +491,7 @@ LoadGenerator::finishRequest(std::uint32_t device)
         missTicks_.push_back(curTick());
     }
 
-    DeviceStatus &st = router_.device(device);
-    st.backlogTicks -= std::min(st.backlogTicks, req.estimate);
+    router_.releaseBacklog(device, req.estimate);
 
     startNext(device);
 }
@@ -522,10 +523,10 @@ LoadGenerator::onCrash()
         crashTicks_.push_back(curTick());
 
         DeviceState &dev = *devices_[victim];
-        DeviceStatus &st = router_.device(victim);
-        st.state = RecoveryState::Resetting;
-        st.backlogTicks = 0;
-        st.queueDepth = 0;
+        router_.setState(victim, RecoveryState::Resetting);
+        router_.releaseBacklog(victim,
+                               router_.device(victim).backlogTicks);
+        router_.setQueueDepth(victim, 0);
 
         // Displace in-flight then queued work, in order. The KV
         // cache died with the device, so progress resets and the
@@ -559,10 +560,7 @@ void
 LoadGenerator::reroute(Request req)
 {
     req.stepsDone = 0;
-    std::optional<std::uint32_t> device =
-        router_.pick([this, &req](std::uint32_t d) {
-            return serviceEstimate(d) + req.extraSetup;
-        });
+    std::optional<std::uint32_t> device = router_.pick();
     if (!device) {
         // Whole fleet down: park the request; it re-places when the
         // first device rejoins. Never dropped — the zero-loss
@@ -590,15 +588,15 @@ LoadGenerator::drainOrphans()
 void
 LoadGenerator::onRecoveryStep(std::uint32_t device)
 {
-    DeviceStatus &st = router_.device(device);
-    if (st.state == RecoveryState::Resetting) {
-        st.state = RecoveryState::ReAttesting;
+    const RecoveryState state = router_.device(device).state;
+    if (state == RecoveryState::Resetting) {
+        router_.setState(device, RecoveryState::ReAttesting);
         eventq().rescheduleIn(&devices_[device]->recoveryTimer,
                               config_.chaos.reattestTicks);
         return;
     }
-    ccai_assert(st.state == RecoveryState::ReAttesting);
-    st.state = RecoveryState::Healthy;
+    ccai_assert(state == RecoveryState::ReAttesting);
+    router_.setState(device, RecoveryState::Healthy);
     drainOrphans();
     DeviceState &dev = *devices_[device];
     if (!dev.busy && !dev.queue.empty())

@@ -201,10 +201,14 @@ class LoadGenerator : public sim::SimObject
 
     /**
      * Roofline whole-request service estimate on one device
-     * (prefill + genTokens mid-sequence decode steps). Public so
-     * benchmarks can size offered load against fleet capacity.
+     * (prefill + genTokens mid-sequence decode steps), computed once
+     * at construction. Public so benchmarks can size offered load
+     * against fleet capacity.
      */
-    Tick serviceEstimate(std::uint32_t device) const;
+    Tick serviceEstimate(std::uint32_t device) const
+    {
+        return router_.serviceEstimate(device);
+    }
 
     void reset() override;
 
@@ -279,10 +283,13 @@ class LoadGenerator : public sim::SimObject
     void drainOrphans();
     void recordShedAttempt(AdmitDecision decision);
 
-    Tick prefillTicks(const DeviceState &dev) const;
-    Tick decodeStepTicks(const DeviceState &dev,
+    Tick prefillTicks(const xpu::XpuSpec &spec) const;
+    Tick decodeStepTicks(const xpu::XpuSpec &spec,
                          std::uint32_t seqLen) const;
     Tick secureScaled(Tick t) const;
+    /** serviceEstimate() of every fleet device, for the router.
+     * Reads only config_ and cost_, which are built before router_. */
+    std::vector<Tick> serviceEstimates() const;
 
     ServeConfig config_;
     /** Resolved once from config_.protection. */

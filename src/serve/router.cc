@@ -1,7 +1,19 @@
 #include "serve/router.hh"
 
+#include <algorithm>
+
 namespace ccai::serve
 {
+
+FleetRouter::FleetRouter(std::vector<Tick> serviceEstimates)
+    : devices_(serviceEstimates.size()),
+      estimates_(std::move(serviceEstimates))
+{
+    while (leaves_ < devices_.size())
+        leaves_ *= 2;
+    tree_.resize(2 * leaves_);
+    reset();
+}
 
 std::uint32_t
 FleetRouter::healthyCount() const
@@ -13,22 +25,46 @@ FleetRouter::healthyCount() const
     return n;
 }
 
-std::optional<std::uint32_t>
-FleetRouter::pick(
-    const std::function<Tick(std::uint32_t)> &serviceEstimate) const
+void
+FleetRouter::addBacklog(std::uint32_t d, Tick ticks)
 {
-    std::optional<std::uint32_t> best;
-    Tick bestScore = 0;
-    for (std::uint32_t d = 0; d < deviceCount(); ++d) {
-        std::optional<Tick> s = score(d, serviceEstimate(d));
-        if (!s)
-            continue;
-        if (!best || *s < bestScore) {
-            best = d;
-            bestScore = *s;
-        }
-    }
-    return best;
+    devices_[d].backlogTicks += ticks;
+    update(d);
+}
+
+void
+FleetRouter::releaseBacklog(std::uint32_t d, Tick ticks)
+{
+    Tick &backlog = devices_[d].backlogTicks;
+    backlog -= std::min(backlog, ticks);
+    update(d);
+}
+
+void
+FleetRouter::setState(std::uint32_t d, RecoveryState state)
+{
+    devices_[d].state = state;
+    update(d);
+}
+
+void
+FleetRouter::update(std::uint32_t d)
+{
+    std::uint32_t i = leaves_ + d;
+    tree_[i] = {healthy(d) ? devices_[d].backlogTicks + estimates_[d]
+                           : kUnplaceable,
+                d};
+    for (i /= 2; i >= 1; i /= 2)
+        pull(i);
+}
+
+void
+FleetRouter::pull(std::uint32_t i)
+{
+    // The left child holds the lower indices, so a tie keeps it.
+    const Node &left = tree_[2 * i];
+    const Node &right = tree_[2 * i + 1];
+    tree_[i] = right.key < left.key ? right : left;
 }
 
 void
@@ -36,6 +72,12 @@ FleetRouter::reset()
 {
     for (DeviceStatus &dev : devices_)
         dev = DeviceStatus{};
+    for (std::uint32_t i = 0; i < leaves_; ++i)
+        tree_[leaves_ + i] = {i < devices_.size() ? estimates_[i]
+                                                  : kUnplaceable,
+                              i};
+    for (std::uint32_t i = leaves_ - 1; i >= 1; --i)
+        pull(i);
 }
 
 } // namespace ccai::serve

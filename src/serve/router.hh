@@ -3,22 +3,26 @@
  * Health-aware least-loaded fleet router. Replaces the static
  * tenant->device pinning of the original load generator: each
  * request is placed on the Healthy device with the earliest
- * estimated completion (its queued backlog plus this request's
- * roofline service estimate there), so a slow or crashed device
- * stops attracting work instead of stalling its pinned tenants.
+ * estimated completion (its queued backlog plus the roofline service
+ * estimate of a request there), so a slow or crashed device stops
+ * attracting work instead of stalling its pinned tenants.
  *
- * The router mirrors fleet state the load generator owns — queue
- * depth, backlog ticks, the ccai::RecoveryState each device is in
- * (Healthy serves; Resetting/ReAttesting devices are crash victims
- * walking reset -> re-attest -> rejoin). Ties break on the lowest
- * device index, keeping placement deterministic under replay.
+ * The router owns the routing view of fleet state — queue depth,
+ * backlog ticks, the ccai::RecoveryState each device is in (Healthy
+ * serves; Resetting/ReAttesting devices are crash victims walking
+ * reset -> re-attest -> rejoin) — and every change to it goes through
+ * a mutator. Each mutator keeps a min-tree over
+ * (backlogTicks + estimate, device index) current in O(log n), with
+ * non-Healthy devices at +infinity, so pick() reads the root. Ties
+ * break on the lowest device index, keeping placement deterministic
+ * under replay. A per-request setup cost that is the same on every
+ * device cannot change the argmin, so pick() takes no request.
  */
 
 #ifndef CCAI_SERVE_ROUTER_HH
 #define CCAI_SERVE_ROUTER_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -41,11 +45,9 @@ struct DeviceStatus
 class FleetRouter
 {
   public:
-    explicit FleetRouter(std::uint32_t deviceCount)
-        : devices_(deviceCount)
-    {}
+    /** One device per entry: its whole-request service estimate. */
+    explicit FleetRouter(std::vector<Tick> serviceEstimates);
 
-    DeviceStatus &device(std::uint32_t d) { return devices_[d]; }
     const DeviceStatus &device(std::uint32_t d) const
     {
         return devices_[d];
@@ -56,6 +58,12 @@ class FleetRouter
         return static_cast<std::uint32_t>(devices_.size());
     }
 
+    /** Service estimate of one request on device @p d (ticks). */
+    Tick serviceEstimate(std::uint32_t d) const
+    {
+        return estimates_[d];
+    }
+
     bool healthy(std::uint32_t d) const
     {
         return devices_[d].state == RecoveryState::Healthy;
@@ -64,32 +72,53 @@ class FleetRouter
     std::uint32_t healthyCount() const;
 
     /**
-     * Health score of one device for @p serviceEstimate ticks of new
-     * work: its estimated completion delay. Lower is better;
-     * non-Healthy devices score unplaceable (nullopt).
-     */
-    std::optional<Tick> score(std::uint32_t d,
-                              Tick serviceEstimate) const
-    {
-        if (!healthy(d))
-            return std::nullopt;
-        return devices_[d].backlogTicks + serviceEstimate;
-    }
-
-    /**
-     * Least-loaded Healthy device for a request whose per-device
-     * service estimate is @p serviceEstimate(d); nullopt when the
-     * whole fleet is down. Ties pick the lowest index.
+     * Least-loaded Healthy device: lowest backlog + estimate, ties
+     * to the lowest index; nullopt when the whole fleet is down.
      */
     std::optional<std::uint32_t>
-    pick(const std::function<Tick(std::uint32_t)> &serviceEstimate)
-        const;
+    pick() const
+    {
+        const Node &root = tree_[1];
+        if (root.key == kUnplaceable)
+            return std::nullopt;
+        return root.device;
+    }
+
+    void addBacklog(std::uint32_t d, Tick ticks);
+    /** Subtract @p ticks, clamped at an empty backlog. */
+    void releaseBacklog(std::uint32_t d, Tick ticks);
+    void setState(std::uint32_t d, RecoveryState state);
+    void
+    setQueueDepth(std::uint32_t d, std::uint32_t depth)
+    {
+        devices_[d].queueDepth = depth;
+    }
 
     /** All devices Healthy with empty books (reset-replay). */
     void reset();
 
   private:
+    /** Key of a non-Healthy device and of padding leaves; a Healthy
+     * device's backlog + estimate never comes near it. */
+    static constexpr Tick kUnplaceable = ~Tick(0);
+
+    struct Node
+    {
+        Tick key = kUnplaceable;
+        std::uint32_t device = 0;
+    };
+
+    /** Recompute device @p d's leaf and the path to the root. */
+    void update(std::uint32_t d);
+    /** Recompute inner node @p i from its two children. */
+    void pull(std::uint32_t i);
+
     std::vector<DeviceStatus> devices_;
+    std::vector<Tick> estimates_;
+    /** Leaves of the min-tree: one per device, padded to a power of
+     * two; node 1 is the root, node i's children are 2i and 2i+1. */
+    std::uint32_t leaves_ = 1;
+    std::vector<Node> tree_;
 };
 
 } // namespace ccai::serve

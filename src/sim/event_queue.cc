@@ -240,8 +240,7 @@ EventQueue::cascadeBucket(int level, std::uint32_t idx)
 {
     const std::uint32_t flat = kL0Buckets + (level - 1) * 64 + idx;
     Event *ev = buckets_[flat];
-    if (ev == nullptr)
-        return;
+    ccai_assert(ev != nullptr);
     buckets_[flat] = nullptr;
     levelWord_[level - 1] &= ~(1ull << idx);
     while (ev != nullptr) {
@@ -250,6 +249,18 @@ EventQueue::cascadeBucket(int level, std::uint32_t idx)
         ++stats_.cascades;
         insertScheduled(ev);
         ev = next;
+    }
+}
+
+void
+EventQueue::cascadeCurrent(Tick t)
+{
+    // levelWord_ marks exactly the non-empty buckets, so testing it
+    // skips the empty ones without changing what cascades.
+    for (int level = kUpperLevels; level >= 1; --level) {
+        const std::uint32_t idx = digitOf(t, level);
+        if (levelWord_[level - 1] & (1ull << idx))
+            cascadeBucket(level, idx);
     }
 }
 
@@ -347,8 +358,7 @@ EventQueue::findNext(Tick *out)
     // sink before lower levels can be trusted as "earliest". Each
     // bucket is cascaded once per visit of its digit, keeping the
     // per-event relink count bounded by the level count.
-    for (int level = kUpperLevels; level >= 1; --level)
-        cascadeBucket(level, digitOf(cursor, level));
+    cascadeCurrent(cursor);
 
     std::uint32_t idx;
     if (l0FindAtOrAfter(static_cast<std::uint32_t>(cursor & kMask0),
@@ -409,8 +419,7 @@ EventQueue::serviceTick(Tick t)
     // Sink this tick's events down the wheel; same-tick ones collect
     // into scratch_ for one batch sort instead of n^2 list inserts.
     collecting_ = true;
-    for (int level = kUpperLevels; level >= 1; --level)
-        cascadeBucket(level, digitOf(t, level));
+    cascadeCurrent(t);
     const auto flat = static_cast<std::uint32_t>(t & kMask0);
     Event *ev = buckets_[flat];
     buckets_[flat] = nullptr;

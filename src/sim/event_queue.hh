@@ -329,6 +329,9 @@ class EventQueue
     void insertCurSorted(Event *ev);
     void removeLinked(Event *ev);
     void cascadeBucket(int level, std::uint32_t idx);
+    /** Cascade the non-empty bucket of tick @p t's digit on every
+     * upper level, top level first. */
+    void cascadeCurrent(Tick t);
     bool findNext(Tick *out);
     void serviceTick(Tick t);
     void dispatchOne();

@@ -120,6 +120,13 @@ applySeedFlag(int argc, char **argv)
     return false;
 }
 
+void
+Rng::buildEngine()
+{
+    engine_ = std::make_unique<std::mt19937_64>(seed_);
+    engine_->discard(drawn_);
+}
+
 std::uint64_t
 seedHash(const std::string &salt)
 {

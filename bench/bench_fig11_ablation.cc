@@ -51,7 +51,6 @@ runPoint(const std::string &label, std::uint32_t batch,
     PlatformConfig no_opt;
     no_opt.secure = true;
     no_opt.adaptorConfig = tvm::AdaptorConfig::noOptimizations();
-    no_opt.scConfig.metadataBatching = false;
 
     AblationRow row;
     row.label = label;

@@ -1,6 +1,5 @@
 #include "bus_tap.hh"
 
-#include "common/logging.hh"
 #include "pcie/memory_map.hh"
 
 namespace ccai::attack
@@ -54,9 +53,15 @@ BusTap::receiveTlp(const TlpPtr &tlp, pcie::PcieNode *from)
         forward(tlp, towardsB);
         return;
       case TapMode::TamperPayload:
+      case TapMode::StripPayload:
         if (targeted && tlp->hasData() && !tlp->data.empty()) {
             auto evil = std::make_shared<Tlp>(*tlp);
-            evil->data[evil->data.size() / 2] ^= 0x5a;
+            if (mode_ == TapMode::TamperPayload) {
+                evil->data[evil->data.size() / 2] ^= 0x5a;
+            } else {
+                evil->synthetic = true;
+                evil->data.clear();
+            }
             ++tampered_;
             forward(evil, towardsB);
             return;
@@ -107,13 +112,6 @@ BusTap::receiveTlp(const TlpPtr &tlp, pcie::PcieNode *from)
         }
         return;
     }
-}
-
-void
-BusTap::replayCaptured(size_t index, bool towardsB)
-{
-    ccai_assert(index < captured_.size());
-    forward(std::make_shared<Tlp>(captured_[index]), towardsB);
 }
 
 void

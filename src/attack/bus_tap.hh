@@ -26,6 +26,9 @@ enum class TapMode
 {
     SnoopOnly,    ///< record copies, forward unmodified
     TamperPayload,///< flip bits in data payloads
+    /** Mark a data TLP length-only (synthetic): keep lengthBytes,
+     * drop the bytes. The flag sits outside every MAC. */
+    StripPayload,
     Replay,       ///< forward and re-inject recorded packets
     /** Replay with the sequence number re-stamped to the next value
      * the receiver expects, defeating the transport-layer duplicate
@@ -67,9 +70,6 @@ class BusTap : public sim::SimObject, public pcie::PcieNode
 
     /** Captured packets that carried data payloads. */
     std::vector<pcie::Tlp> capturedWithData() const;
-
-    /** Re-inject the i-th captured packet towards @p towardsB. */
-    void replayCaptured(size_t index, bool towardsB);
 
     /** Inject an arbitrary TLP into the fabric. */
     void inject(const pcie::Tlp &tlp, bool towardsB);

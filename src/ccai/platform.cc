@@ -100,7 +100,6 @@ void
 Platform::buildTopology()
 {
     rc_ = std::make_unique<pcie::RootComplex>(sys_, "rc", mem_);
-    rc_->setRetryConfig(config_.retry);
     tvm_ = std::make_unique<tvm::Tvm>(sys_, "tvm", *rc_, kTvm,
                                       config_.tvmTiming);
     switch_ = std::make_unique<pcie::Switch>(sys_, "root_switch");
@@ -122,10 +121,8 @@ Platform::buildTopology()
         backend_ = backend::makeBackend(config_.protection);
 
     if (config_.secure && config_.protection == backend::Kind::CcaiSc) {
-        sc::PcieScConfig sc_cfg = config_.scConfig;
-        sc_cfg.retry = config_.retry;
         sc_ = static_cast<backend::CcaiScBackend &>(*backend_)
-                  .buildInterposer(sys_, "pcie_sc", sc_cfg);
+                  .buildInterposer(sys_, "pcie_sc", config_.scConfig);
 
         // Switch <-> [optional bus attacker] <-> PCIe-SC.
         pcie::PcieNode *sc_upstream_neighbor = switch_.get();
@@ -170,7 +167,6 @@ Platform::buildTopology()
         // The owner TVM gets tenant slot 0 of the bounce/metadata
         // partitions (the whole regions when maxTenants == 1).
         tvm::AdaptorConfig owner_cfg = config_.adaptorConfig;
-        owner_cfg.retry = config_.retry;
         owner_cfg.h2dWindow = tenantSlice(mm::kBounceH2d, 0);
         owner_cfg.d2hWindow = tenantSlice(mm::kBounceD2h, 0);
         owner_cfg.metaWindow = tenantSlice(mm::kMetadataBuffer, 0);
@@ -235,17 +231,6 @@ Platform::buildTopology()
 }
 
 void
-Platform::setHostLinkConfig(const pcie::LinkConfig &config)
-{
-    config_.hostLink = config;
-    rcSwitchLink_->setConfig(config);
-    if (switchScLink_)
-        switchScLink_->setConfig(config);
-    if (switchXpuLink_)
-        switchXpuLink_->setConfig(config);
-}
-
-void
 Platform::setHostLinkFaults(const pcie::FaultConfig &faults)
 {
     config_.hostLinkFaults = faults;
@@ -261,20 +246,6 @@ Platform::setHostLinkFaults(const pcie::FaultConfig &faults)
     if (tapScLink_) {
         tapScLink_->downstream().setFaultConfig(faults);
         tapScLink_->upstream().setFaultConfig(faults);
-    }
-}
-
-void
-Platform::clearHostLinkFaults()
-{
-    config_.hostLinkFaults = pcie::FaultConfig{};
-    if (!switchScLink_)
-        return;
-    switchScLink_->downstream().clearFaults();
-    switchScLink_->upstream().clearFaults();
-    if (tapScLink_) {
-        tapScLink_->downstream().clearFaults();
-        tapScLink_->upstream().clearFaults();
     }
 }
 
@@ -521,7 +492,6 @@ Platform::addTenant(pcie::Bdf bdf)
         sys_, prefix + ".tvm", *rc_, bdf, config_.tvmTiming);
 
     tvm::AdaptorConfig cfg = config_.adaptorConfig;
-    cfg.retry = config_.retry;
     cfg.h2dWindow = tenantSlice(mm::kBounceH2d, slot);
     cfg.d2hWindow = tenantSlice(mm::kBounceD2h, slot);
     cfg.metaWindow = tenantSlice(mm::kMetadataBuffer, slot);

@@ -20,7 +20,6 @@
 #include "ccai/recovery.hh"
 #include "llm/inference.hh"
 #include "pcie/fault_injector.hh"
-#include "pcie/transport.hh"
 #include "sc/pcie_sc.hh"
 #include "trust/attestation.hh"
 #include "trust/sealing.hh"
@@ -59,14 +58,6 @@ struct PlatformConfig
      * sim::resolveSeed). Platform::seed() reports the effective value.
      */
     std::uint64_t seed = 0x5EED;
-    /**
-     * Secure-path retry policy, shared by the root complex, the
-     * PCIe-SC and every Adaptor. Defaults to enabled: the full
-     * topology always has both ARQ endpoints alive, so running the
-     * ack machinery even on a lossless fabric keeps the protected
-     * path identical whether or not faults are injected.
-     */
-    pcie::RetryConfig retry = pcie::RetryConfig::enabledDefaults();
     /**
      * Fault schedule applied at build time to both directions of the
      * host<->PCIe-SC segment (the exposed segment in the threat
@@ -216,9 +207,6 @@ class Platform
     /** Drive the event loop until it drains. */
     void run() { sys_.run(); }
 
-    /** The link feeding the switch (bandwidth stress tests). */
-    void setHostLinkConfig(const pcie::LinkConfig &config);
-
     /**
      * Install a deterministic fault schedule on both directions of
      * the host<->PCIe-SC segment (through the BusTap when one is
@@ -226,8 +214,6 @@ class Platform
      * per-seed reproducible stream from (config.seed, link name).
      */
     void setHostLinkFaults(const pcie::FaultConfig &faults);
-    /** Make the host<->PCIe-SC segment lossless again. */
-    void clearHostLinkFaults();
 
     /** The effective RNG seed after --seed / CCAI_SEED overrides. */
     std::uint64_t seed() const { return effectiveSeed_; }

@@ -81,18 +81,6 @@ RecoveryManager::startWatchdog(Tick horizon)
 }
 
 void
-RecoveryManager::stopWatchdog()
-{
-    watchdogArmed_ = false;
-    if (beatTimer_.scheduled())
-        eventq().deschedule(&beatTimer_);
-    ++probeGen_; // cancels in-flight probe hook callbacks
-    if (probeTimer_.scheduled())
-        eventq().deschedule(&probeTimer_);
-    probeInFlight_ = false;
-}
-
-void
 RecoveryManager::scheduleBeat()
 {
     eventq().rescheduleIn(&beatTimer_, config_.heartbeatPeriod);

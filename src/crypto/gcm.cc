@@ -130,22 +130,6 @@ AesGcm::ghashAbsorb(std::uint64_t &yh, std::uint64_t &yl,
     }
 }
 
-Bytes
-AesGcm::ghash(const Bytes &aad, const Bytes &ciphertext) const
-{
-    std::uint64_t yh = 0, yl = 0;
-    ghashAbsorb(yh, yl, aad.data(), aad.size());
-    ghashAbsorb(yh, yl, ciphertext.data(), ciphertext.size());
-    yh ^= static_cast<std::uint64_t>(aad.size()) * 8;
-    yl ^= static_cast<std::uint64_t>(ciphertext.size()) * 8;
-    gmult(yh, yl);
-
-    Bytes out(16);
-    storeBe64(out.data(), yh);
-    storeBe64(out.data() + 8, yl);
-    return out;
-}
-
 void
 AesGcm::ctrApply(const Bytes &iv, std::uint8_t *data, size_t len,
                  std::uint32_t counter) const

@@ -115,10 +115,6 @@ class AesGcm
                      const std::uint8_t *aad, size_t aadLen,
                      WorkerPool &pool, int width) const;
 
-    /** GHASH over aad||ciphertext with length block (exposed for
-     * the AuthTagManager's incremental verification tests). */
-    Bytes ghash(const Bytes &aad, const Bytes &ciphertext) const;
-
   private:
     /** XOR the CTR keystream (starting at @p counter) into @p data. */
     void ctrApply(const Bytes &iv, std::uint8_t *data, size_t len,

@@ -158,14 +158,6 @@ JsonEmitter::value(double v)
 }
 
 JsonEmitter &
-JsonEmitter::valueNull()
-{
-    prepare();
-    os_ << "null";
-    return *this;
-}
-
-JsonEmitter &
 JsonEmitter::valueInt(std::int64_t v)
 {
     prepare();

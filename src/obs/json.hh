@@ -51,7 +51,6 @@ class JsonEmitter
     }
     JsonEmitter &value(bool v);
     JsonEmitter &value(double v);
-    JsonEmitter &valueNull();
 
     template <typename T,
               std::enable_if_t<std::is_integral_v<T> &&

@@ -25,8 +25,6 @@ MetricGroup::reset()
 {
     for (auto &kv : counters_)
         kv.second.reset();
-    for (auto &kv : dists_)
-        kv.second.reset();
     for (auto &kv : gauges_)
         kv.second.reset();
     for (auto &kv : hists_)
@@ -40,13 +38,6 @@ MetricGroup::dump() const
     for (const auto &kv : counters_)
         os << prefix_ << '.' << kv.first << ' ' << kv.second.value()
            << '\n';
-    for (const auto &kv : dists_) {
-        const Distribution &d = kv.second;
-        os << prefix_ << '.' << kv.first << ".count " << d.count() << '\n';
-        os << prefix_ << '.' << kv.first << ".mean " << d.mean() << '\n';
-        os << prefix_ << '.' << kv.first << ".min " << d.min() << '\n';
-        os << prefix_ << '.' << kv.first << ".max " << d.max() << '\n';
-    }
     for (const auto &kv : gauges_)
         os << prefix_ << '.' << kv.first << ' ' << kv.second.value()
            << '\n';
@@ -70,15 +61,6 @@ MetricGroup::writeJson(JsonEmitter &json, bool withBuckets) const
         json.beginObject();
         for (const auto &kv : counters_)
             json.field(kv.first, kv.second.value());
-        json.endObject();
-    }
-    if (!dists_.empty()) {
-        json.key("distributions");
-        json.beginObject();
-        for (const auto &kv : dists_) {
-            json.key(kv.first);
-            kv.second.writeJson(json);
-        }
         json.endObject();
     }
     if (!gauges_.empty()) {

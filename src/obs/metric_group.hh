@@ -68,12 +68,6 @@ class MetricGroup
         return GaugeHandle(&gauges_[name]);
     }
 
-    DistributionHandle
-    distributionHandle(const std::string &name)
-    {
-        return DistributionHandle(&dists_[name]);
-    }
-
     HistogramHandle
     histogramHandle(const std::string &name)
     {
@@ -83,11 +77,6 @@ class MetricGroup
     const std::map<std::string, Counter> &counters() const
     {
         return counters_;
-    }
-
-    const std::map<std::string, Distribution> &distributions() const
-    {
-        return dists_;
     }
 
     const std::map<std::string, Gauge> &gauges() const
@@ -107,15 +96,14 @@ class MetricGroup
     /** Render all stats as "prefix.name value" lines. */
     std::string dump() const;
 
-    /** One JSON object: {counters: {...}, distributions: {...},
-     * gauges: {...}, histograms: {...}} (empty sections omitted). */
+    /** One JSON object: {counters: {...}, gauges: {...},
+     * histograms: {...}} (empty sections omitted). */
     void writeJson(JsonEmitter &json, bool withBuckets = true) const;
 
   private:
     MetricsRegistry *registry_ = nullptr;
     std::string prefix_;
     std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> dists_;
     std::map<std::string, Gauge> gauges_;
     std::map<std::string, Histogram> hists_;
 };

@@ -5,20 +5,6 @@
 namespace ccai::obs
 {
 
-void
-Distribution::writeJson(JsonEmitter &json) const
-{
-    json.beginObject();
-    json.field("count", n_);
-    json.field("mean", mean());
-    // Accessors guard the empty case: the 1e300 fill values used to
-    // track the running min/max must never surface in a snapshot.
-    json.field("min", min());
-    json.field("max", max());
-    json.field("stddev", stddev());
-    json.endObject();
-}
-
 double
 Histogram::percentile(double p) const
 {

@@ -1,10 +1,10 @@
 /**
  * @file
  * Typed statistic values of the observability plane: monotonic
- * counters, point-in-time gauges, running distributions, and
- * log-bucketed latency histograms with percentile queries. All of
- * them are plain value types — cross-thread aggregation is done by
- * keeping one instance per thread and merge()-ing, never by sharing.
+ * counters, point-in-time gauges, and log-bucketed latency
+ * histograms with percentile queries. All of them are plain value
+ * types — cross-thread aggregation is done by keeping one instance
+ * per thread and merge()-ing, never by sharing.
  *
  * The matching *Handle types are the hot-path API: a handle is a
  * cached pointer to a stat owned by a MetricGroup, resolved once at
@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 namespace ccai::obs
@@ -53,70 +52,6 @@ class Gauge
 
   private:
     double value_ = 0.0;
-};
-
-/** Running mean/min/max/stddev of a stream of samples. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        ++n_;
-        sum_ += v;
-        sumSq_ += v * v;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    std::uint64_t count() const { return n_; }
-    double sum() const { return sum_; }
-    double mean() const { return n_ ? sum_ / n_ : 0.0; }
-    /** 0 when empty — the internal sentinel never escapes. */
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-
-    double
-    stddev() const
-    {
-        if (n_ < 2)
-            return 0.0;
-        double m = mean();
-        double var = (sumSq_ - n_ * m * m) / (n_ - 1);
-        return var > 0 ? std::sqrt(var) : 0.0;
-    }
-
-    /** Fold another distribution in (cross-thread aggregation). */
-    void
-    merge(const Distribution &other)
-    {
-        if (!other.n_)
-            return;
-        n_ += other.n_;
-        sum_ += other.sum_;
-        sumSq_ += other.sumSq_;
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-
-    void
-    reset()
-    {
-        n_ = 0;
-        sum_ = sumSq_ = 0.0;
-        min_ = 1e300;
-        max_ = -1e300;
-    }
-
-    /** {count, mean, min, max, stddev}; empty -> all-zero fields. */
-    void writeJson(JsonEmitter &json) const;
-
-  private:
-    std::uint64_t n_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = 1e300;
-    double max_ = -1e300;
 };
 
 /**
@@ -283,27 +218,6 @@ class GaugeHandle
 
   private:
     Gauge *g_ = nullptr;
-};
-
-/** Cached reference to a Distribution owned by a MetricGroup. */
-class DistributionHandle
-{
-  public:
-    DistributionHandle() = default;
-    explicit DistributionHandle(Distribution *d) : d_(d) {}
-
-    void
-    sample(double v)
-    {
-        if (d_)
-            d_->sample(v);
-    }
-
-    const Distribution *get() const { return d_; }
-    explicit operator bool() const { return d_ != nullptr; }
-
-  private:
-    Distribution *d_ = nullptr;
 };
 
 /** Cached reference to a Histogram owned by a MetricGroup. */

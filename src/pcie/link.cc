@@ -56,13 +56,6 @@ Link::setFaultConfig(const FaultConfig &config)
 }
 
 void
-Link::clearFaults()
-{
-    injector_.reset();
-    held_.reset();
-}
-
-void
 Link::deliver(const TlpPtr &tlp, Tick when)
 {
     PcieNode *from = src_;

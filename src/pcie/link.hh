@@ -88,7 +88,6 @@ class Link : public sim::SimObject
     void send(const TlpPtr &tlp);
 
     const LinkConfig &config() const { return config_; }
-    void setConfig(const LinkConfig &config) { config_ = config; }
 
     /**
      * Install (or replace) the deterministic fault injector. The
@@ -97,8 +96,6 @@ class Link : public sim::SimObject
      * independent — but per-seed reproducible — decisions.
      */
     void setFaultConfig(const FaultConfig &config);
-    /** Remove fault injection; the link becomes lossless again. */
-    void clearFaults();
     FaultInjector *faultInjector() { return injector_.get(); }
 
     obs::MetricGroup &stats() { return stats_; }
@@ -173,13 +170,6 @@ class DuplexLink
     Link &downstream() { return *down_; }
     /** Send from b-side to a-side. */
     Link &upstream() { return *up_; }
-
-    void
-    setConfig(const LinkConfig &config)
-    {
-        down_->setConfig(config);
-        up_->setConfig(config);
-    }
 
   private:
     std::unique_ptr<Link> down_;

@@ -77,6 +77,18 @@ constexpr Addr kRingHead = 0x01a8;       ///< consumed D2H ring index
 constexpr Addr kRuleWindow = 0x1000;     ///< rule staging window
 constexpr Addr kParamWindow = 0x2000;    ///< H2D chunk-record window
 constexpr Addr kRecordWindow = 0x3000;   ///< per-record MMIO reads
+
+/** kControl bit: the controller's engines are enabled. */
+constexpr std::uint64_t kControlEnable = 1u << 0;
+/**
+ * kControl bit: the tenant collects D2H records from the completion
+ * ring (§5 I/O-read optimization); clear, it reads them one by one
+ * through kRecordWindow.
+ */
+constexpr std::uint64_t kControlRingMode = 1u << 1;
+/** 64-byte records the per-record window holds before the BAR ends. */
+constexpr std::uint64_t kRecordWindowSlots =
+    (kScMmio.size - kRecordWindow) / 64;
 } // namespace screg
 
 // ---- D2H completion ring layout (inside a tenant's metadata

@@ -68,8 +68,7 @@ RootComplex::sendRead(Tlp tlp, CplCallback cb)
 
     s_.readsSent.inc();
     down_->send(req);
-    if (retry_.enabled)
-        armReadTimer(tag);
+    armReadTimer(tag);
 }
 
 void
@@ -82,7 +81,7 @@ RootComplex::armReadTimer(std::uint8_t tag)
     if (!o.timer)
         o.timer = std::make_unique<sim::EventFunctionWrapper>(
             [this, tag] { onReadTimeout(tag); }, "rc-read-timeout");
-    Tick timeout = retry_.timeoutFor(retry_.readTimeout, o.attempts);
+    Tick timeout = retryTimeout(kReadTimeout, o.attempts);
     eventq().rescheduleIn(o.timer.get(), timeout);
 }
 
@@ -93,7 +92,7 @@ RootComplex::onReadTimeout(std::uint8_t tag)
     if (it == outstanding_.end())
         return;
     OutstandingRead &o = it->second;
-    if (o.attempts >= retry_.maxReadRetries) {
+    if (o.attempts >= kMaxReadRetries) {
         // Budget exhausted: fabricate an abort completion so the
         // caller's state machine can fail instead of hang. Erasing
         // the entry destroys the timer event executing right now, so
@@ -141,7 +140,7 @@ RootComplex::sendWrite(const TlpPtr &tlp)
 bool
 RootComplex::transportGate(const TlpPtr &tlp)
 {
-    if (!retry_.enabled || !tlp->ackRequired)
+    if (!tlp->ackRequired)
         return true;
     std::uint64_t &rx = rxSeq_[tlp->txChannel];
     if (tlp->seqNo == rx + 1) {

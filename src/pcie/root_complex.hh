@@ -54,7 +54,10 @@ class RootComplex : public sim::SimObject, public PcieNode
 
     /**
      * Issue a non-posted read (MMIO or config); @p cb runs when the
-     * completion returns.
+     * completion returns. An unanswered read is retransmitted on the
+     * same tag with exponential backoff; after kMaxReadRetries @p cb
+     * receives a fabricated CompleterAbort completion, so callers
+     * never hang on a lossy fabric.
      */
     void sendRead(Tlp tlp, CplCallback cb);
 
@@ -84,16 +87,6 @@ class RootComplex : public sim::SimObject, public PcieNode
 
     /** Install the IOMMU validation hook for inbound DMA. */
     void setIommuCheck(IommuCheck check) { iommu_ = std::move(check); }
-
-    /**
-     * Retry policy for non-posted reads and the inbound ARQ gate.
-     * With retries enabled, an unanswered read is retransmitted on
-     * the same tag with exponential backoff; after maxReadRetries
-     * the callback receives a fabricated CompleterAbort completion
-     * so callers never hang on a lossy fabric.
-     */
-    void setRetryConfig(const RetryConfig &config) { retry_ = config; }
-    const RetryConfig &retryConfig() const { return retry_; }
 
     /**
      * Register the consumer of transport ACKs addressed to
@@ -157,7 +150,6 @@ class RootComplex : public sim::SimObject, public PcieNode
     /** Highest in-order seqNo accepted per upstream ARQ channel. */
     std::map<std::uint16_t, std::uint64_t> rxSeq_;
     IommuCheck iommu_;
-    RetryConfig retry_;
     obs::MetricGroup stats_;
 
     /** Typed handles resolved once; no name lookup per TLP. */

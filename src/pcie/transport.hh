@@ -7,7 +7,7 @@
  * ARQ: senders mark TLPs ackRequired, receivers acknowledge in-order
  * sequence numbers per (tenant, channel), and NAKs trigger go-back-N
  * retransmission. This header holds the shared pieces: the retry
- * policy knobs and the TransportAck message codec.
+ * policy constants and the TransportAck message codec.
  */
 
 #ifndef CCAI_PCIE_TRANSPORT_HH
@@ -21,66 +21,49 @@
 namespace ccai::pcie
 {
 
-/**
- * Retry/timeout policy for the secure-path ARQ loops (Adaptor
- * doorbell writes, RootComplex reads, PCIe-SC sensitive re-reads,
- * D2H chunk re-requests). Timeouts back off exponentially:
- * timeout * backoff^attempt, capped by maxRetries.
+/*
+ * Retry/timeout policy of the secure-path ARQ loops (Adaptor doorbell
+ * writes, RootComplex reads, PCIe-SC sensitive re-reads, D2H chunk
+ * re-requests). Every Platform runs them; timeouts back off
+ * exponentially: timeout * kRetryBackoff^attempt.
  */
-struct RetryConfig
+
+/**
+ * Ack timeout for posted writes. Must exceed the worst-case queueing
+ * on a loaded link: at Gen4 x16 (~31 GB/s) a 200 us budget covers
+ * ~6 MB of queued traffic ahead of the ack.
+ */
+constexpr Tick kAckTimeout = 200 * kTicksPerUs;
+
+/** Completion timeout for non-posted reads. */
+constexpr Tick kReadTimeout = 500 * kTicksPerUs;
+
+/** Multiplier applied to the timeout per retry attempt. */
+constexpr double kRetryBackoff = 2.0;
+
+/** Attempts before a transported write is declared fatal. */
+constexpr int kMaxRetries = 12;
+
+/** Attempts for reads and re-fetches before they fail (a root-complex
+ * read then completes with a fabricated CompleterAbort). */
+constexpr int kMaxReadRetries = 8;
+
+/**
+ * Minimum spacing between go-back-N retransmission rounds on one
+ * channel. Repeated NAKs for the same gap (every out-of-order packet
+ * behind one loss elicits a NAK) collapse into one round.
+ */
+constexpr Tick kRetransmitGap = 10 * kTicksPerUs;
+
+/** Timeout for attempt @p attempt (0-based), with exponential backoff. */
+inline Tick
+retryTimeout(Tick base, int attempt)
 {
-    /** Master switch; disabled reproduces the lossless-fabric legacy
-     * behaviour bit-for-bit (no acks on the wire, no timers). The
-     * raw-object default is off so unit fixtures without an ack peer
-     * keep working; Platform turns it on for the full topology. */
-    bool enabled = false;
-
-    /**
-     * Ack timeout for posted writes. Must exceed the worst-case
-     * queueing on a loaded link: at Gen4 x16 (~31 GB/s) a 200 us
-     * budget covers ~6 MB of queued traffic ahead of the ack.
-     */
-    Tick ackTimeout = 200 * kTicksPerUs;
-
-    /** Completion timeout for non-posted reads. */
-    Tick readTimeout = 500 * kTicksPerUs;
-
-    /** Multiplier applied to the timeout per retry attempt. */
-    double backoff = 2.0;
-
-    /** Attempts before a transfer is declared fatal. */
-    int maxRetries = 12;
-
-    /** Attempts for root-complex reads before a fabricated
-     * CompleterAbort completion unblocks the caller. */
-    int maxReadRetries = 8;
-
-    /**
-     * Minimum spacing between go-back-N retransmission rounds on one
-     * channel. Repeated NAKs for the same gap (every out-of-order
-     * packet behind one loss elicits a NAK) collapse into one round.
-     */
-    Tick retransmitGap = 10 * kTicksPerUs;
-
-    /** Timeout for attempt @p n (0-based), with exponential backoff. */
-    Tick
-    timeoutFor(Tick base, int attempt) const
-    {
-        double scaled = double(base);
-        for (int i = 0; i < attempt; ++i)
-            scaled *= backoff;
-        return Tick(scaled);
-    }
-
-    /** The full-topology (Platform) default: retries on. */
-    static RetryConfig
-    enabledDefaults()
-    {
-        RetryConfig r;
-        r.enabled = true;
-        return r;
-    }
-};
+    double scaled = double(base);
+    for (int i = 0; i < attempt; ++i)
+        scaled *= kRetryBackoff;
+    return Tick(scaled);
+}
 
 /**
  * Payload of a MsgCode::TransportAck message. Acks flow opposite to

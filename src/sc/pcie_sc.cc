@@ -100,13 +100,6 @@ PcieSc::connectDownstream(pcie::Link *down, pcie::PcieNode *downNeighbor)
 }
 
 void
-PcieSc::establishSession(const Bytes &sessionSecret)
-{
-    establishTenant(pcie::wellknown::kTvm, sessionSecret,
-                    mm::kBounceD2h, mm::kMetadataBuffer);
-}
-
-void
 PcieSc::establishTenant(pcie::Bdf tenant, const Bytes &sessionSecret,
                         pcie::AddrRange d2hWindow,
                         pcie::AddrRange metaWindow)
@@ -129,6 +122,7 @@ PcieSc::establishTenant(pcie::Bdf tenant, const Bytes &sessionSecret,
     s.bdfRaw = tenant.raw();
     s.d2hReplay.clear();
     s.d2hRecords.clear();
+    s.ringMode = true;
     s.nextChunkId = 1;
 
     // A (re-)established session starts its ARQ channels from
@@ -167,29 +161,11 @@ PcieSc::keyManagerFor(pcie::Bdf tenant)
     return it != sessions_.end() ? it->second.keys.get() : nullptr;
 }
 
-DecryptParamsManager &
-PcieSc::paramsManager()
-{
-    auto it = sessions_.find(ownerTenant_);
-    ccai_assert(it != sessions_.end());
-    return it->second.params;
-}
-
 PcieSc::TenantSession *
 PcieSc::session(std::uint16_t tenantRaw)
 {
     auto it = sessions_.find(tenantRaw);
     return it != sessions_.end() ? &it->second : nullptr;
-}
-
-PcieSc::TenantSession *
-PcieSc::sessionCoveringH2d(Addr addr)
-{
-    for (auto &[raw, s] : sessions_) {
-        if (s.params.lookup(addr).has_value())
-            return &s;
-    }
-    return nullptr;
 }
 
 PcieSc::TenantSession *
@@ -457,7 +433,11 @@ PcieSc::handleA2Downstream(const TlpPtr &tlp)
     if (tracer_->enabled())
         tracer_->complete(traceTrack(), "a2.down", curTick(), delay);
 
-    if (tlp->synthetic || rec->synthetic) {
+    // The record, not the TLP, says whether this payload is
+    // length-only: records arrive through A3-signed kParamWindow
+    // writes, while the TLP's synthetic bit is an unprotected codec
+    // flag.
+    if (rec->synthetic && tlp->synthetic) {
         // Timing-only path for bulk benchmark traffic. A chunk may
         // stream through in several device bursts, so consume by
         // byte range rather than whole records.
@@ -469,11 +449,15 @@ PcieSc::handleA2Downstream(const TlpPtr &tlp)
     }
 
     // Decrypt in place on a copy of the TLP under the cached epoch
-    // cipher (no plaintext round trip through a temporary).
+    // cipher (no plaintext round trip through a temporary). Past the
+    // branch above, a synthetic bit on either side means the TLP and
+    // its record disagree: there are no bytes to authenticate, so it
+    // fails like a bad tag.
     const crypto::AesGcm &cipher = tenant->keys->cipherCached(
         trust::StreamDir::HostToDevice, rec->epoch);
     auto out = std::make_shared<Tlp>(*tlp);
-    if (rec->tag.size() != crypto::kGcmTagSize ||
+    if (tlp->synthetic || rec->synthetic ||
+        rec->tag.size() != crypto::kGcmTagSize ||
         !cipher.openInPlace(rec->iv, out->data.data(),
                             out->data.size(), rec->tag.data(),
                             nullptr, 0,
@@ -484,11 +468,11 @@ PcieSc::handleA2Downstream(const TlpPtr &tlp)
             "sc-a2-integrity",
             "%s: integrity failure on chunk %llu", name().c_str(),
             (unsigned long long)rec->chunkId);
-        // A tag failure on a tracked read means the ciphertext was
-        // tampered with in flight: keep the chunk registered and
-        // re-issue the read instead of silently dropping the data.
-        if (pending && config_.retry.enabled && pending->request &&
-            pending->attempts < config_.retry.maxReadRetries) {
+        // A failure on a tracked read means the ciphertext was
+        // tampered with or stripped in flight: keep the chunk
+        // registered and re-issue the read instead of silently
+        // dropping the data.
+        if (pending && pending->attempts < pcie::kMaxReadRetries) {
             ++pending->attempts;
             s_.a2ReadRetries.inc();
             forward(std::make_shared<Tlp>(*pending->request), true, 0);
@@ -530,7 +514,7 @@ PcieSc::handleA3(const TlpPtr &tlp)
         s_.a3IntegrityFailures.inc();
         return false; // unknown requester fails closed
     }
-    if (config_.retry.enabled && tlp->ackRequired) {
+    if (tlp->ackRequired) {
         // Transport-sequenced packet: the admit gate already checked
         // the MAC (which covers the ARQ fields) and enforced exactly-
         // once in-order delivery. The strict monotonic check below
@@ -601,19 +585,17 @@ PcieSc::processUpstreamBound(const TlpPtr &tlp)
             PendingRead p;
             p.addr = tlp->address;
             p.tenant = tenant_raw;
-            if (config_.retry.enabled)
-                p.request = std::make_shared<Tlp>(*tlp);
+            p.request = std::make_shared<Tlp>(*tlp);
             // The tag is live again: a completion for it is no
             // longer a duplicate of the previous read.
             recentCompleted_.erase(tlp->tag);
             pendingSensitiveReads_[tlp->tag] = std::move(p);
-            if (config_.retry.enabled)
-                armSensitiveReadTimer(tlp->tag);
+            armSensitiveReadTimer(tlp->tag);
         }
         // Device interrupts aimed at a sessioned tenant ride that
         // tenant's ARQ channel so they are neither lost nor doubled
         // (a duplicated MSI would pop two waiters).
-        if (tlp->type == TlpType::Message && config_.retry.enabled) {
+        if (tlp->type == TlpType::Message) {
             TenantSession *t = session(tlp->completer.raw());
             if (t) {
                 sendUpstreamArq(t->bdfRaw, tlp, filter_delay);
@@ -681,22 +663,17 @@ PcieSc::handleA2Upstream(const TlpPtr &tlp)
                            config_.dataEngineThreads);
         enc->encrypted = true;
         out = enc;
-        if (config_.retry.enabled) {
-            // Keep a pristine copy for kChunkRetry replays (wire
-            // tampering that evades the link CRC is only detected
-            // by the Adaptor's tag check, after delivery).
-            tenant->d2hReplay.emplace_back(
-                rec.chunkId, std::make_shared<Tlp>(*enc));
-            if (tenant->d2hReplay.size() > kD2hReplayCap)
-                tenant->d2hReplay.pop_front();
-        }
+        // Keep a pristine copy for kChunkRetry replays (wire
+        // tampering that evades the link CRC is only detected by the
+        // Adaptor's tag check, after delivery).
+        tenant->d2hReplay.emplace_back(rec.chunkId,
+                                       std::make_shared<Tlp>(*enc));
+        if (tenant->d2hReplay.size() > kD2hReplayCap)
+            tenant->d2hReplay.pop_front();
     }
 
     queueD2hRecord(*tenant, rec);
-    if (config_.retry.enabled)
-        sendUpstreamArq(tenant->bdfRaw, out, delay);
-    else
-        forward(out, true, delay);
+    sendUpstreamArq(tenant->bdfRaw, out, delay);
 }
 
 void
@@ -704,7 +681,7 @@ PcieSc::queueD2hRecord(TenantSession &tenant, const ChunkRecord &rec)
 {
     tenant.d2hRecords.push_back(rec);
     s_.d2hRecords.inc();
-    if (config_.metadataBatching &&
+    if (tenant.ringMode &&
         tenant.d2hRecords.size() >= config_.metaBatchSize) {
         flushMetadataBatch(tenant);
     }
@@ -713,7 +690,7 @@ PcieSc::queueD2hRecord(TenantSession &tenant, const ChunkRecord &rec)
 void
 PcieSc::flushMetadataBatch(TenantSession &tenant)
 {
-    if (!config_.metadataBatching || tenant.d2hRecords.empty())
+    if (!tenant.ringMode || tenant.d2hRecords.empty())
         return;
 
     // Publish pending records into the tenant's completion ring
@@ -749,10 +726,7 @@ PcieSc::flushMetadataBatch(TenantSession &tenant)
                    startSlot * mm::metaring::kSlotStride;
         auto tlp = std::make_shared<Tlp>(Tlp::makeMemWrite(
             pcie::wellknown::kPcieSc, dst, std::move(blob)));
-        if (config_.retry.enabled)
-            sendUpstreamArq(tenant.bdfRaw, tlp, 0);
-        else
-            forward(tlp, true, 0);
+        sendUpstreamArq(tenant.bdfRaw, tlp, 0);
         tenant.metaTail += run;
         published = true;
     }
@@ -766,10 +740,7 @@ PcieSc::flushMetadataBatch(TenantSession &tenant)
         tenant.metaWindow.base + mm::metaring::kTailOffset,
         std::move(tailWord)));
     s_.metaBatches.inc();
-    if (config_.retry.enabled)
-        sendUpstreamArq(tenant.bdfRaw, tailTlp, 0);
-    else
-        forward(tailTlp, true, 0);
+    sendUpstreamArq(tenant.bdfRaw, tailTlp, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -843,7 +814,7 @@ PcieSc::handleOwnMmioWrite(const TlpPtr &tlp)
       case mm::screg::kRecordAck: {
         // Per-record MMIO consumption (the non-batched §5 path);
         // the batched path acknowledges via kRingHead instead.
-        if (!tenant || config_.metadataBatching)
+        if (!tenant || tenant->ringMode)
             return;
         std::uint64_t n =
             std::min<std::uint64_t>(value,
@@ -856,7 +827,7 @@ PcieSc::handleOwnMmioWrite(const TlpPtr &tlp)
         // Completion-ring backpressure: the Adaptor posts its
         // absolute consumed index; freed slots let queued overflow
         // records publish.
-        if (tenant && config_.metadataBatching) {
+        if (tenant && tenant->ringMode) {
             tenant->metaHead = std::max(tenant->metaHead, value);
             if (!tenant->d2hRecords.empty())
                 flushMetadataBatch(*tenant);
@@ -870,8 +841,12 @@ PcieSc::handleOwnMmioWrite(const TlpPtr &tlp)
         endTenant(tlp->requester, value != 0);
         return;
       case mm::screg::kControl:
+        // The Adaptor's hw_init names its record-collection mode.
+        if (tenant)
+            tenant->ringMode = (value & mm::screg::kControlRingMode) != 0;
+        return;
       case mm::screg::kEnvGuardCtl:
-        return; // modelled as configuration latches
+        return; // modelled as a configuration latch
       default:
         s_.unknownOwnWrites.inc();
         return;
@@ -919,9 +894,8 @@ PcieSc::handleOwnMmioRead(const pcie::Tlp &req)
             // index; the completion carrying it is sequenced on the
             // tenant ARQ channel behind the slot DMA writes, so the
             // slots it covers are already in host memory.
-            value = config_.metadataBatching
-                        ? tenant->metaTail
-                        : tenant->d2hRecords.size();
+            value = tenant->ringMode ? tenant->metaTail
+                                     : tenant->d2hRecords.size();
         }
         break;
       default:
@@ -945,7 +919,7 @@ PcieSc::completeOwnRead(const TlpPtr &req, Bytes payload)
     // the metadata write it refers to. Foreign requesters (e.g. a
     // probing device) keep the plain path.
     TenantSession *t = session(req->requester.raw());
-    if (t && config_.retry.enabled)
+    if (t)
         sendUpstreamArq(t->bdfRaw, cpl, filter_.lookupDelay(*req));
     else
         forward(cpl, true, filter_.lookupDelay(*req));
@@ -977,7 +951,7 @@ PcieSc::handleChunkRetry(TenantSession &tenant, std::uint64_t chunkId)
 bool
 PcieSc::transportAdmitDown(const TlpPtr &tlp, backend::SecurityAction action)
 {
-    if (!config_.retry.enabled || !tlp->ackRequired)
+    if (!tlp->ackRequired)
         return true;
     std::uint64_t &rx = rxSeqDown_[tlp->txChannel];
     if (tlp->seqNo <= rx) {
@@ -1035,10 +1009,6 @@ void
 PcieSc::sendUpstreamArq(std::uint16_t channel, const TlpPtr &tlp,
                         Tick delay)
 {
-    if (!config_.retry.enabled) {
-        forward(tlp, true, delay);
-        return;
-    }
     TxChannel &tx = upTx_[channel];
     tlp->ackRequired = true;
     tlp->txChannel = channel;
@@ -1087,7 +1057,7 @@ PcieSc::retransmitUpTx(std::uint16_t channel, std::uint64_t fromSeq)
     // A burst of NAKs (one per packet behind the gap) must trigger
     // one go-back-N, not one resend-storm per NAK.
     if (tx.lastGoBack != 0 &&
-        curTick() - tx.lastGoBack < config_.retry.retransmitGap)
+        curTick() - tx.lastGoBack < pcie::kRetransmitGap)
         return;
     tx.lastGoBack = curTick();
     std::uint64_t n = 0;
@@ -1115,8 +1085,7 @@ PcieSc::armUpTxTimer(std::uint16_t channel)
                              "sc-uptx-timeout");
         tx.timerInit = true;
     }
-    Tick timeout =
-        config_.retry.timeoutFor(config_.retry.ackTimeout, tx.attempts);
+    Tick timeout = pcie::retryTimeout(pcie::kAckTimeout, tx.attempts);
     eventq().rescheduleIn(&tx.timer, timeout);
 }
 
@@ -1129,7 +1098,7 @@ PcieSc::onUpTxTimeout(std::uint16_t channel)
     TxChannel &tx = it->second;
     if (tx.unacked.empty())
         return;
-    if (tx.attempts >= config_.retry.maxRetries) {
+    if (tx.attempts >= pcie::kMaxRetries) {
         s_.faultsFatal.inc(tx.unacked.size());
         warnRateLimited(
             "sc-uptx-exhausted",
@@ -1157,15 +1126,14 @@ void
 PcieSc::armSensitiveReadTimer(std::uint8_t tag)
 {
     auto it = pendingSensitiveReads_.find(tag);
-    if (it == pendingSensitiveReads_.end() || !it->second.request)
+    if (it == pendingSensitiveReads_.end())
         return;
     PendingRead &p = it->second;
     if (!p.timer)
         p.timer = std::make_unique<sim::EventFunctionWrapper>(
             [this, tag] { onSensitiveReadDeadline(tag); },
             "sc-read-deadline");
-    Tick timeout =
-        config_.retry.timeoutFor(config_.retry.readTimeout, p.attempts);
+    Tick timeout = pcie::retryTimeout(pcie::kReadTimeout, p.attempts);
     eventq().rescheduleIn(p.timer.get(), timeout);
 }
 
@@ -1176,7 +1144,7 @@ PcieSc::onSensitiveReadDeadline(std::uint8_t tag)
     if (it == pendingSensitiveReads_.end())
         return;
     PendingRead &p = it->second;
-    if (p.attempts >= config_.retry.maxReadRetries) {
+    if (p.attempts >= pcie::kMaxReadRetries) {
         s_.faultsFatal.inc();
         warnRateLimited(
             "sc-read-exhausted",

@@ -12,7 +12,14 @@
  * channel per tenant — separate workload keys, A3 signing keys,
  * chunk-parameter tables, result-record queues, and bounce/metadata
  * windows. The first-established tenant (the owner) additionally
- * controls the packet policy.
+ * controls the packet policy. Each tenant's Adaptor names how it
+ * collects D2H records (completion ring or per-record MMIO reads) in
+ * its A3-signed kControl write; the session latches that bit.
+ *
+ * The secure path always runs the end-to-end ARQ of
+ * pcie/transport.hh: the downstream receive gate (NAK/re-ack), the
+ * upstream per-tenant channels and the sensitive-read re-request
+ * timers, all under the constant retry policy declared there.
  */
 
 #ifndef CCAI_SC_PCIE_SC_HH
@@ -46,12 +53,6 @@ struct PcieScConfig
     EngineTiming engineTiming;
     /** Store-and-forward latency for pass-through packets. */
     Tick forwardLatency = 150 * kTicksPerNs;
-    /**
-     * When true the controller batches D2H chunk records and DMAs
-     * them into the host metadata buffer (§5 I/O-read optimization);
-     * when false the Adaptor must fetch each record via MMIO reads.
-     */
-    bool metadataBatching = true;
     /** Records accumulated before an automatic batch flush. */
     std::uint32_t metaBatchSize = 32;
     /**
@@ -60,13 +61,6 @@ struct PcieScConfig
      * ample space; tests shrink it to exercise rotation live.
      */
     std::uint32_t ivExhaustionLimit = 0xffff0000u;
-    /**
-     * End-to-end retry policy shared with the Adaptor and the root
-     * complex: governs the downstream receive gate (NAK/re-ack), the
-     * upstream per-tenant ARQ channels, and the sensitive-read
-     * re-request timers. Disabled -> the seed's lossless behaviour.
-     */
-    pcie::RetryConfig retry;
     /**
      * Wall-clock lanes the A2 data engines split one payload across
      * (segmented-GHASH parallel GCM; bit-identical tags at any
@@ -92,19 +86,13 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
                            pcie::PcieNode *downNeighbor);
 
     /**
-     * Establish the owner tenant's confidential session (the
-     * single-tenant configuration of the paper's prototype): the
-     * default TVM requester with the full bounce and metadata
-     * windows.
-     */
-    void establishSession(const Bytes &sessionSecret);
-
-    /**
      * Establish an isolated session for one tenant (paper §9):
      * derive its workload keys, A3 integrity key, and — for the
      * first tenant only — the filter config key. @p d2hWindow
      * attributes device result writes to this tenant; @p metaWindow
-     * is where its record batches are delivered.
+     * is where its record batches are delivered. The tenant starts
+     * in completion-ring mode until its Adaptor's kControl write
+     * says otherwise.
      */
     void establishTenant(pcie::Bdf tenant, const Bytes &sessionSecret,
                          pcie::AddrRange d2hWindow,
@@ -145,8 +133,6 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     AuthTagManager &tagManager() { return tagMgr_; }
     obs::MetricGroup &stats() { return stats_; }
     obs::MetricGroup *statGroup() override { return &stats_; }
-    const PcieScConfig &config() const { return config_; }
-    void setConfig(const PcieScConfig &config) { config_ = config; }
 
     bool sessionEstablished() const { return !sessions_.empty(); }
     size_t tenantCount() const { return sessions_.size(); }
@@ -154,8 +140,6 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     trust::WorkloadKeyManager *keyManager();
     /** A specific tenant's key manager (nullptr when absent). */
     trust::WorkloadKeyManager *keyManagerFor(pcie::Bdf tenant);
-    /** Owner tenant's params manager (single-tenant convenience). */
-    DecryptParamsManager &paramsManager();
 
     void reset() override;
 
@@ -173,10 +157,19 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
          * Records not yet published into the metadata completion
          * ring: the accumulation buffer below metaBatchSize, plus
          * the overflow queue when the ring is full (backpressure).
-         * With metadata batching off this is the whole record store,
-         * served via per-record MMIO reads.
+         * In per-record mode this is the whole record store, served
+         * via per-record MMIO reads.
          */
         std::deque<ChunkRecord> d2hRecords;
+        /**
+         * How this tenant collects D2H records (§5 I/O-read
+         * optimization): true publishes them into the completion
+         * ring, false serves them through per-record MMIO reads.
+         * Latched from the screg::kControlRingMode bit of the
+         * tenant's A3-signed kControl write; establishTenant resets
+         * it to ring mode.
+         */
+        bool ringMode = true;
         pcie::AddrRange d2hWindow{};
         pcie::AddrRange metaWindow{};
         /** Completion ring: absolute produced-record index. */
@@ -202,7 +195,7 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     {
         Addr addr = 0;
         std::uint16_t tenant = 0;
-        pcie::TlpPtr request; ///< re-request copy (retry enabled)
+        pcie::TlpPtr request; ///< re-request copy
         int attempts = 0;
         /** Owned deadline timer: descheduled in O(1) when the entry
          * is erased, so completed reads leave nothing queued. */
@@ -223,7 +216,6 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     };
 
     TenantSession *session(std::uint16_t tenantRaw);
-    TenantSession *sessionCoveringH2d(Addr addr);
     TenantSession *sessionCoveringD2h(Addr addr);
 
     // Direction-specific entry points.

@@ -52,9 +52,7 @@ Adaptor::Adaptor(sim::System &sys, std::string name, Tvm &tvm,
       timing_(timing), stats_(sys.metrics(), this->name()),
       s_(stats_), tracer_(&sys.tracer())
 {
-    // Consume transport acks for this tenant's ARQ channel. The
-    // handler is registered unconditionally (it is inert while
-    // retries are disabled) so enabling retries via setConfig works.
+    // Consume transport acks for this tenant's ARQ channel.
     tvm_.rootComplex().addTransportHandler(
         tvm_.bdf().raw(),
         [this](const pcie::TransportAck &ack) {
@@ -66,26 +64,20 @@ void
 Adaptor::sendTransported(pcie::Tlp tlp, bool sign)
 {
     tlp.seqNo = nextSeqNo_++;
-    if (retryEnabled()) {
-        tlp.ackRequired = true;
-        tlp.txChannel = tvm_.bdf().raw();
-    }
+    tlp.ackRequired = true;
+    tlp.txChannel = tvm_.bdf().raw();
     if (sign && signer_.hasKey())
         tlp.integrityTag = signer_.computeMac(tlp);
     auto ptr = std::make_shared<pcie::Tlp>(std::move(tlp));
-    if (retryEnabled()) {
-        txUnacked_.push_back(ptr);
-        if (txUnacked_.size() == 1)
-            armTxTimer();
-    }
+    txUnacked_.push_back(ptr);
+    if (txUnacked_.size() == 1)
+        armTxTimer();
     tvm_.rootComplex().sendWrite(ptr);
 }
 
 void
 Adaptor::handleTransportAck(const pcie::TransportAck &ack)
 {
-    if (!retryEnabled())
-        return;
     if (ack.nak) {
         goBackN(ack.seq);
         return;
@@ -114,7 +106,7 @@ Adaptor::goBackN(std::uint64_t fromSeq)
 {
     // One go-back-N round per gap, not one per NAK behind the gap.
     if (lastGoBack_ != 0 &&
-        curTick() - lastGoBack_ < config_.retry.retransmitGap)
+        curTick() - lastGoBack_ < pcie::kRetransmitGap)
         return;
     lastGoBack_ = curTick();
     std::uint64_t n = 0;
@@ -140,8 +132,7 @@ Adaptor::armTxTimer()
                              "adaptor-tx-timeout");
         txTimerInit_ = true;
     }
-    Tick timeout = config_.retry.timeoutFor(config_.retry.ackTimeout,
-                                            txAttempts_);
+    Tick timeout = pcie::retryTimeout(pcie::kAckTimeout, txAttempts_);
     eventq().rescheduleIn(&txTimer_, timeout);
 }
 
@@ -157,7 +148,7 @@ Adaptor::onTxTimeout()
 {
     if (txUnacked_.empty())
         return;
-    if (txAttempts_ >= config_.retry.maxRetries) {
+    if (txAttempts_ >= pcie::kMaxRetries) {
         s_.faultsFatal.inc(txUnacked_.size());
         warnRateLimited(
             "adaptor-tx-exhausted",
@@ -187,10 +178,13 @@ Adaptor::hwInit()
     d2hCursor_ = 0;
     metaHead_ = 0;
     metaPending_.clear();
-    Bytes enable(8, 0);
-    enable[0] = 1;
+    Bytes control(8);
+    storeLe64(control.data(),
+              mm::screg::kControlEnable |
+                  (config_.batchMetadataReads ? mm::screg::kControlRingMode
+                                              : 0));
     writeSigned(mm::kScMmio.base + mm::screg::kControl,
-                std::move(enable));
+                std::move(control));
 }
 
 void
@@ -549,10 +543,9 @@ Adaptor::fetchForCollect(std::shared_ptr<CollectState> st)
             st->recs.push_back(std::move(rec));
         }
 
-        if (!retryEnabled() || coverageComplete(*st) ||
-            st->fetchAttempts >= config_.retry.maxReadRetries) {
-            if (retryEnabled() && !coverageComplete(*st) &&
-                st->length != 0)
+        if (coverageComplete(*st) ||
+            st->fetchAttempts >= pcie::kMaxReadRetries) {
+            if (!coverageComplete(*st) && st->length != 0)
                 s_.recordFetchIncomplete.inc();
             finishCollect(std::move(st));
             return;
@@ -566,8 +559,8 @@ Adaptor::fetchForCollect(std::shared_ptr<CollectState> st)
         if (tracer_->enabled())
             tracer_->instant(traceTrack(), "record_fetch.retry",
                              curTick());
-        Tick wait = config_.retry.timeoutFor(config_.retry.ackTimeout,
-                                             st->fetchAttempts - 1);
+        Tick wait =
+            pcie::retryTimeout(pcie::kAckTimeout, st->fetchAttempts - 1);
         eventq().scheduleIn(wait,
                             [this, st] { fetchForCollect(st); });
     };
@@ -702,8 +695,7 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
         }
     }
 
-    if (!failed.empty() && retryEnabled() &&
-        attempt < config_.retry.maxReadRetries) {
+    if (!failed.empty() && attempt < pcie::kMaxReadRetries) {
         // The ciphertext in the bounce buffer was tampered with in
         // flight: ask the controller to replay the affected chunks
         // from its pristine buffer, then re-read and retry.
@@ -717,8 +709,7 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
         if (tracer_->enabled())
             tracer_->instant(traceTrack(), "d2h.chunk_retry",
                              curTick());
-        Tick wait =
-            config_.retry.timeoutFor(config_.retry.ackTimeout, attempt);
+        Tick wait = pcie::retryTimeout(pcie::kAckTimeout, attempt);
         eventq().scheduleIn(wait, [this, st, attempt] {
             attemptDecrypt(st, attempt + 1);
         });
@@ -830,9 +821,18 @@ Adaptor::fetchRecordsMmio(
     tvm_.mmioRead(
         mm::kScMmio.base + mm::screg::kRecordCount, 8,
         [this, done = std::move(done)](Bytes payload) {
+            s_.ioReads.inc(1);
+            // The count is host-influenced (a forged or short
+            // completion). Past the record window's capacity its
+            // reads would walk off the end of the BAR: reap nothing.
             std::uint64_t count =
                 payload.size() >= 8 ? loadLe64(payload.data()) : 0;
-            s_.ioReads.inc(1);
+            if (payload.size() < 8 ||
+                count > mm::screg::kRecordWindowSlots) {
+                s_.metaRingBadTail.inc();
+                done({});
+                return;
+            }
             fetchOneRecordMmio(0, count, {}, std::move(done));
         });
 }
@@ -860,6 +860,17 @@ Adaptor::fetchOneRecordMmio(
                   [this, index, count, acc = std::move(acc),
                    done = std::move(done)](Bytes payload) mutable {
                       s_.ioReads.inc(1);
+                      if (payload.size() != ChunkRecord::kWireBytes) {
+                          // A short (forged or aborted) record
+                          // completion: drop it and release only the
+                          // records before it, so the coverage
+                          // re-fetch reads this one again.
+                          s_.d2hBadRecords.inc();
+                          fetchOneRecordMmio(index, index,
+                                             std::move(acc),
+                                             std::move(done));
+                          return;
+                      }
                       acc.push_back(ChunkRecord::deserialize(payload));
                       fetchOneRecordMmio(index + 1, count,
                                          std::move(acc),

@@ -9,9 +9,15 @@
  *
  * The §5 optimizations are individually switchable so the Figure 11
  * ablation can run the non-optimized design:
- *  - metadata batching (I/O read optimization),
+ *  - metadata batching (I/O read optimization): the Adaptor owns this
+ *    switch and names the mode to the PCIe-SC in its hw_init
+ *    kControl write,
  *  - single-notify writes (I/O write optimization),
  *  - AES-NI hardware crypto and parallel crypto threads.
+ *
+ * Every posted write the Adaptor sends rides its tenant's ARQ channel
+ * (pcie/transport.hh); the retry policy is a set of constants, not a
+ * configuration.
  */
 
 #ifndef CCAI_TVM_ADAPTOR_HH
@@ -38,7 +44,9 @@ namespace ccai::tvm
 struct AdaptorConfig
 {
     /** I/O-read optimization: consume batched metadata from the
-     * host-memory buffer instead of per-record MMIO reads. */
+     * host-memory completion ring instead of per-record MMIO reads.
+     * hwInit() tells the PCIe-SC through the kControl ring-mode bit,
+     * so this is the only switch for the mode. */
     bool batchMetadataReads = true;
     /** I/O-write optimization: one notify per processed region
      * instead of one per encryption subtask. */
@@ -71,14 +79,6 @@ struct AdaptorConfig
     pcie::AddrRange h2dWindow = pcie::memmap::kBounceH2d;
     pcie::AddrRange d2hWindow = pcie::memmap::kBounceD2h;
     pcie::AddrRange metaWindow = pcie::memmap::kMetadataBuffer;
-
-    /**
-     * End-to-end retry policy (must match the PCIe-SC's): bounded
-     * retransmission of doorbell/config writes, record re-fetch, and
-     * D2H chunk re-requests. Off by default for raw fixtures; the
-     * Platform enables it together with the SC/root-complex sides.
-     */
-    pcie::RetryConfig retry;
 
     /** Fully non-optimized configuration (Figure 11 baseline). */
     static AdaptorConfig
@@ -131,13 +131,17 @@ class Adaptor : public sim::SimObject
             const AdaptorConfig &config = {},
             const AdaptorTiming &timing = {});
 
-    /** hw_init: reset interaction state with the PCIe-SC. */
+    /**
+     * hw_init: reset interaction state with the PCIe-SC and send the
+     * signed kControl write that enables the engines and names this
+     * tenant's record-collection mode (batchMetadataReads).
+     */
     void hwInit();
 
     /**
      * Establish the confidential session from the attestation
      * secret: derive workload keys, the A3 signing key, and the
-     * filter-config key (must match PcieSc::establishSession).
+     * filter-config key (must match PcieSc::establishTenant).
      */
     void establishSession(const Bytes &sessionSecret);
 
@@ -253,12 +257,10 @@ class Adaptor : public sim::SimObject
     void runOnCpu(Tick duration, DoneCb then,
                   const char *stage = nullptr);
 
-    bool retryEnabled() const { return config_.retry.enabled; }
-
     /**
      * Stamp, (optionally) sign and send a posted TLP through the
-     * tenant's ARQ channel: with retries enabled the TLP enters the
-     * unacked window and is retransmitted on NAK or ack timeout.
+     * tenant's ARQ channel: the TLP enters the unacked window and is
+     * retransmitted on NAK or ack timeout.
      * The MAC is computed after the ARQ fields are set (the header
      * MAC covers them, so stripping ackRequired in flight fails
      * verification).

@@ -1,6 +1,5 @@
 #include "tvm.hh"
 
-#include "common/bytes_util.hh"
 #include "common/logging.hh"
 
 namespace ccai::tvm
@@ -30,14 +29,6 @@ Tvm::mmioWrite(Addr addr, Bytes data)
 {
     pcie::Tlp tlp = pcie::Tlp::makeMemWrite(bdf_, addr, std::move(data));
     rc_.sendWrite(std::move(tlp));
-}
-
-void
-Tvm::mmioWrite64(Addr addr, std::uint64_t value)
-{
-    Bytes data(8);
-    storeLe64(data.data(), value);
-    mmioWrite(addr, std::move(data));
 }
 
 void

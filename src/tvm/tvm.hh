@@ -50,9 +50,6 @@ class Tvm : public sim::SimObject
     /** Posted MMIO write of raw bytes. */
     void mmioWrite(Addr addr, Bytes data);
 
-    /** Posted MMIO write of one little-endian 64-bit value. */
-    void mmioWrite64(Addr addr, std::uint64_t value);
-
     /** Non-posted MMIO read; @p cb receives the completion payload. */
     void mmioRead(Addr addr, std::uint32_t length,
                   std::function<void(Bytes)> cb);

@@ -138,6 +138,71 @@ TEST(Tampering, CorruptedCiphertextDetectedNotConsumed)
     EXPECT_EQ(vram, Bytes(secret.size(), 0));
 }
 
+/**
+ * The synthetic (length-only) bit is a codec flag outside every MAC,
+ * so the PCIe-SC decides length-only from the MAC-covered chunk
+ * record. A bulk completion the bus attacker strips to length-only
+ * is an integrity failure, never a silent zero-filled write.
+ */
+TEST(Tampering, StrippedCompletionFailsIntegrityAndIsReRead)
+{
+    TappedPlatform rig;
+    rig.tap.setMode(TapMode::StripPayload);
+    // Strip the first bulk data completion heading to the device.
+    rig.tap.setTargetFilter([n = 0](const Tlp &tlp) mutable {
+        return tlp.type == TlpType::Completion &&
+               tlp.data.size() >= 1024 && n++ == 0;
+    });
+
+    sim::Rng rng(9);
+    Bytes secret = rng.bytes(4096);
+    bool done = false;
+    rig.platform.runtime().memcpyH2D(mm::kXpuVram.base + 0x100,
+                                     secret, secret.size(),
+                                     [&] { done = true; });
+    rig.platform.run();
+
+    ASSERT_TRUE(done);
+    EXPECT_EQ(rig.tap.tampered(), 1u);
+    auto &sc = rig.platform.pcieSc()->stats();
+    EXPECT_EQ(sc.counterHandle("a2_integrity_failures").value(), 1u);
+    EXPECT_EQ(sc.counterHandle("a2_read_retries").value(), 1u);
+    // The re-read delivered the real ciphertext.
+    EXPECT_EQ(rig.platform.xpu().vram().read(0x100, secret.size()),
+              secret);
+}
+
+TEST(Tampering, EveryCompletionStrippedAbortsTheDma)
+{
+    TappedPlatform rig;
+    rig.tap.setMode(TapMode::StripPayload);
+    rig.tap.setTargetFilter([](const Tlp &tlp) {
+        return tlp.type == TlpType::Completion &&
+               tlp.data.size() >= 1024;
+    });
+
+    sim::Rng rng(10);
+    Bytes secret = rng.bytes(4096);
+    rig.platform.runtime().memcpyH2D(mm::kXpuVram.base + 0x100,
+                                     secret, secret.size(), [] {});
+    rig.platform.run();
+
+    // The re-read budget runs out and the device's DMA is aborted:
+    // a counted failure, not a silent success.
+    EXPECT_GE(rig.platform.pcieSc()
+                  ->stats()
+                  .counterHandle("faults_fatal")
+                  .value(),
+              1u);
+    EXPECT_GE(rig.platform.xpu()
+                  .stats()
+                  .counterHandle("dma_aborts")
+                  .value(),
+              1u);
+    EXPECT_EQ(rig.platform.xpu().vram().read(0x100, secret.size()),
+              Bytes(secret.size(), 0));
+}
+
 TEST(Tampering, CommandTamperDetectedByA3)
 {
     TappedPlatform rig;

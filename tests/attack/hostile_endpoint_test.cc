@@ -139,6 +139,31 @@ TEST(HostileEndpoint, ForgesCompletionsForOutstandingTags)
     EXPECT_EQ(evil.forgeCompletionsFromTap(tap, Bytes(64, 0x5a)), 0u);
 }
 
+TEST(HostileEndpoint, AtsTranslatedWriteDiesAtTheIommu)
+{
+    Platform p(PlatformConfig{.secure = true});
+    ASSERT_TRUE(p.establishTrust().ok());
+
+    HostileEndpoint evil(p.system(), "evil");
+    auto link = std::make_unique<DuplexLink>(
+        p.system(), "sw_evil", &p.rootSwitch(), &evil, LinkConfig{});
+    int port = p.rootSwitch().addPort(&link->downstream());
+    p.rootSwitch().mapRoutingId(wellknown::kMaliciousDevice, port);
+    evil.connectUpstream(&link->upstream());
+
+    const Addr victim = mm::kTvmPrivate.base + 0x1000;
+    p.hostMemory().write(victim, Bytes(64, 0x42));
+    auto blocked = p.rootComplex().stats().counterHandle("iommu_blocked");
+    const std::uint64_t before = blocked.value();
+
+    // Wearing the xPU's ID, as if ATS had granted the translation.
+    evil.atsTranslatedWrite(victim, Bytes(64, 0x66));
+    p.run();
+
+    EXPECT_EQ(blocked.value(), before + 1);
+    EXPECT_EQ(p.hostMemory().read(victim, 64), Bytes(64, 0x42));
+}
+
 TEST(HostileEndpoint, EndToEndSessionBlockedAndCounted)
 {
     Platform p(PlatformConfig{.secure = true});

@@ -365,6 +365,9 @@ fig8Config(std::uint32_t batch, std::uint32_t tokens)
     return cfg;
 }
 
+/** Absorbs only the bench JSON emitter's 12-decimal rounding. */
+constexpr double kJsonUlp = 1e-11;
+
 } // namespace
 
 /**
@@ -378,7 +381,6 @@ fig8Config(std::uint32_t batch, std::uint32_t tokens)
 TEST(CcaiScGoldenPin, Fig8NumbersAreBitIdentical)
 {
     LogConfig::Quiet quiet;
-    constexpr double kJsonUlp = 1e-11;
 
     ComparisonResult tok64 = runComparison(fig8Config(1, 64));
     EXPECT_NEAR(tok64.vanilla.e2eSeconds, 1.476354043498, kJsonUlp);
@@ -395,6 +397,27 @@ TEST(CcaiScGoldenPin, Fig8NumbersAreBitIdentical)
     EXPECT_NEAR(bat3.secure.e2eSeconds, 1.845868140781, kJsonUlp);
     EXPECT_NEAR(bat3.vanilla.ttftSeconds, 0.047894973622, kJsonUlp);
     EXPECT_NEAR(bat3.secure.ttftSeconds, 0.048824726219, kJsonUlp);
+}
+
+/**
+ * The same pin for Figure 11's non-optimized design: per-record MMIO
+ * record reads, per-subtask notifies, software AES on one thread. It
+ * guards the per-record D2H path, which Figure 8 never takes.
+ */
+TEST(CcaiScGoldenPin, Fig11NoOptNumbersAreBitIdentical)
+{
+    LogConfig::Quiet quiet;
+    PlatformConfig noOpt;
+    noOpt.secure = true;
+    noOpt.adaptorConfig = tvm::AdaptorConfig::noOptimizations();
+
+    llm::InferenceMetrics tok64 = runInference(noOpt, fig8Config(1, 64));
+    EXPECT_NEAR(tok64.e2eSeconds, 1.506136112589, kJsonUlp);
+    EXPECT_NEAR(tok64.ttftSeconds, 0.016942135796, kJsonUlp);
+
+    llm::InferenceMetrics bat3 = runInference(noOpt, fig8Config(3, 128));
+    EXPECT_NEAR(bat3.e2eSeconds, 1.942132013410, kJsonUlp);
+    EXPECT_NEAR(bat3.ttftSeconds, 0.049329717424, kJsonUlp);
 }
 
 TEST(CcaiScGoldenPin, SameSeedReplayIsExact)

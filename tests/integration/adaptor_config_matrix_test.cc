@@ -56,7 +56,6 @@ roundTrip(const Combo &combo, const Bytes &payload)
 {
     PlatformConfig cfg{.secure = true};
     cfg.adaptorConfig = combo.toConfig();
-    cfg.scConfig.metadataBatching = combo.batchMetadata;
     Platform platform(cfg);
     EXPECT_TRUE(platform.establishTrust().ok());
 

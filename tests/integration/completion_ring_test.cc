@@ -5,10 +5,15 @@
  * MMIO completion, so the Adaptor range-checks both before it uses
  * them and counts every rejection: a record whose length runs past
  * its transfer is never opened, and a tail outside [head, head +
- * slots] reaps nothing.
+ * slots] reaps nothing. The per-record MMIO path (Figure 11's
+ * non-optimized design) holds to the same rules: a record count
+ * beyond the record window reaps nothing, and a short record
+ * completion is dropped and fetched again.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "attack/hostile_endpoint.hh"
 #include "ccai/platform.hh"
@@ -34,30 +39,51 @@ upload(Platform &p)
     return data;
 }
 
+/** Splice a hostile endpoint onto @p p's root switch. */
+std::unique_ptr<DuplexLink>
+attachEvil(Platform &p, attack::HostileEndpoint &evil)
+{
+    auto link = std::make_unique<DuplexLink>(
+        p.system(), "sw_evil", &p.rootSwitch(), &evil, LinkConfig{});
+    int port = p.rootSwitch().addPort(&link->downstream());
+    p.rootSwitch().mapRoutingId(wellknown::kMaliciousDevice, port);
+    evil.connectUpstream(&link->upstream());
+    return link;
+}
+
 /**
- * Step @p p until the TVM's next ring-tail read crosses the bus tap,
- * then answer it from @p evil with @p tail before the PCIe-SC can.
+ * Step @p p until the TVM's next read of PCIe-SC register @p offset
+ * crosses the bus tap, then answer it from @p evil with @p payload
+ * before the PCIe-SC can.
  */
 void
-forgeNextTailRead(Platform &p, attack::HostileEndpoint &evil,
-                  std::uint64_t tail)
+forgeNextRead(Platform &p, attack::HostileEndpoint &evil, Addr offset,
+              Bytes payload)
 {
     const auto &cap = p.busTap()->captured();
     std::size_t seen = cap.size();
     for (;;) {
         ASSERT_EQ(p.system().eventq().run(1), 1u)
-            << "queue drained before a tail read";
+            << "queue drained before the read";
         for (; seen < cap.size(); ++seen) {
             const Tlp &t = cap[seen];
             if (t.type != TlpType::MemRead ||
-                t.address != mm::kScMmio.base + mm::screg::kRecordCount)
+                t.address != mm::kScMmio.base + offset)
                 continue;
-            Bytes value(8);
-            storeLe64(value.data(), tail);
-            evil.forgeCompletion(t.requester, t.tag, std::move(value));
+            evil.forgeCompletion(t.requester, t.tag, std::move(payload));
             return;
         }
     }
+}
+
+/** Answer the next record-count (ring tail) read with @p tail. */
+void
+forgeNextTailRead(Platform &p, attack::HostileEndpoint &evil,
+                  std::uint64_t tail)
+{
+    Bytes value(8);
+    storeLe64(value.data(), tail);
+    forgeNextRead(p, evil, mm::screg::kRecordCount, std::move(value));
 }
 
 } // namespace
@@ -110,19 +136,24 @@ TEST(CompletionRing, RecordLongerThanItsTransferIsRejected)
 
 TEST(CompletionRing, ForgedTailOutsideTheRingReapsNothing)
 {
-    for (bool behindHead : {true, false}) {
+    struct Case
+    {
+        const char *name;
+        bool ringMode;
+        bool behindHead;
+    };
+    for (const Case &c :
+         {Case{"ring, behind the head", true, true},
+          Case{"ring, past the ring", true, false},
+          Case{"per-record, past the window", false, false}}) {
         PlatformConfig cfg;
         cfg.secure = true;
         cfg.attachBusTap = true;
+        cfg.adaptorConfig.batchMetadataReads = c.ringMode;
         Platform p(cfg);
         ASSERT_TRUE(p.establishTrust().ok());
-
         attack::HostileEndpoint evil(p.system(), "evil");
-        DuplexLink link(p.system(), "sw_evil", &p.rootSwitch(), &evil,
-                        LinkConfig{});
-        int port = p.rootSwitch().addPort(&link.downstream());
-        p.rootSwitch().mapRoutingId(wellknown::kMaliciousDevice, port);
-        evil.connectUpstream(&link.upstream());
+        auto link = attachEvil(p, evil);
 
         const Bytes data = upload(p);
         // A clean readback moves the consumed index off zero.
@@ -130,15 +161,20 @@ TEST(CompletionRing, ForgedTailOutsideTheRingReapsNothing)
         p.runtime().memcpyD2H(mm::kXpuVram.base, data.size(), false,
                               [&](Bytes d) { first = std::move(d); });
         p.run();
-        ASSERT_EQ(first, data);
+        ASSERT_EQ(first, data) << c.name;
 
-        const AddrRange win = p.adaptor()->config().metaWindow;
-        const std::uint64_t head = loadLe64(
-            p.hostMemory().raw(win.base + mm::metaring::kTailOffset, 8));
-        ASSERT_GT(head, 0u);
-        const std::uint64_t tail =
-            behindHead ? head - 1
+        // Per-record mode: one record more than the window holds,
+        // whose reads would walk off the end of the PCIe-SC's BAR.
+        std::uint64_t tail = mm::screg::kRecordWindowSlots + 1;
+        if (c.ringMode) {
+            const AddrRange win = p.adaptor()->config().metaWindow;
+            const std::uint64_t head = loadLe64(p.hostMemory().raw(
+                win.base + mm::metaring::kTailOffset, 8));
+            ASSERT_GT(head, 0u);
+            tail = c.behindHead
+                       ? head - 1
                        : head + mm::metaring::slotCount(win.size) + 1;
+        }
 
         Bytes second;
         p.runtime().memcpyD2H(mm::kXpuVram.base, data.size(), false,
@@ -147,10 +183,35 @@ TEST(CompletionRing, ForgedTailOutsideTheRingReapsNothing)
         p.run();
 
         EXPECT_EQ(p.system().sumCounter("meta_ring_bad_tail"), 1u)
-            << "behind head: " << behindHead;
+            << c.name;
         // Nothing was reaped from the forged tail; the re-fetch reads
         // the real one and the readback still completes intact.
-        EXPECT_GE(p.system().sumCounter("record_fetch_retries"), 1u);
-        EXPECT_EQ(second, data) << "behind head: " << behindHead;
+        EXPECT_GE(p.system().sumCounter("record_fetch_retries"), 1u)
+            << c.name;
+        EXPECT_EQ(second, data) << c.name;
     }
+}
+
+TEST(CompletionRing, ShortRecordCompletionIsDroppedAndReFetched)
+{
+    PlatformConfig cfg;
+    cfg.secure = true;
+    cfg.attachBusTap = true;
+    cfg.adaptorConfig.batchMetadataReads = false;
+    Platform p(cfg);
+    ASSERT_TRUE(p.establishTrust().ok());
+    attack::HostileEndpoint evil(p.system(), "evil");
+    auto link = attachEvil(p, evil);
+    const Bytes data = upload(p);
+
+    Bytes back;
+    p.runtime().memcpyD2H(mm::kXpuVram.base, data.size(), false,
+                          [&](Bytes d) { back = std::move(d); });
+    // The first per-record read gets an 8-byte answer, not a record.
+    forgeNextRead(p, evil, mm::screg::kRecordWindow, Bytes(8, 0xee));
+    p.run();
+
+    EXPECT_EQ(p.system().sumCounter("d2h_bad_records"), 1u);
+    EXPECT_GE(p.system().sumCounter("record_fetch_retries"), 1u);
+    EXPECT_EQ(back, data);
 }

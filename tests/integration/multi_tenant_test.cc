@@ -208,6 +208,11 @@ TEST_F(MultiTenantTest, EndingOneTenantKeepsTheOtherRunning)
 
 TEST_F(MultiTenantTest, ThirdTenantRejectedWhenSlotsFull)
 {
+    // Earlier tests in this binary start crypto worker threads. A
+    // plain fork() copies none of them, and the child's fatal() exit
+    // then waits on them forever; "threadsafe" re-executes the binary
+    // for the death test instead.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_DEATH(platform->addTenant(Bdf{0x00, 0x05, 0x0}),
                  "no free tenant slot");
 }

@@ -159,7 +159,6 @@ TEST(SecureNoOpt, UnoptimizedPathStillCorrect)
 {
     PlatformConfig cfg{.secure = true};
     cfg.adaptorConfig = tvm::AdaptorConfig::noOptimizations();
-    cfg.scConfig.metadataBatching = false;
     Platform platform(cfg);
     ASSERT_TRUE(platform.establishTrust().ok());
 

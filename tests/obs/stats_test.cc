@@ -3,8 +3,8 @@
  * Unit tests of the observability value types and group/registry
  * plumbing: histogram bucket geometry and percentile accuracy versus
  * a sorted-sample oracle, merge semantics for cross-thread
- * aggregation, the Distribution empty-sentinel fix, typed-handle
- * identity/aliasing, and registry add/remove/re-registration.
+ * aggregation, typed-handle identity/aliasing, and registry
+ * add/remove/re-registration.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "obs/stats.hh"
 
 using namespace ccai;
-using obs::Distribution;
 using obs::Histogram;
 
 namespace
@@ -159,61 +158,6 @@ TEST(Histogram, MergeEqualsConcatenation)
     merged.merge(empty);
     EXPECT_EQ(merged.count(), before.count());
     EXPECT_EQ(merged.min(), before.min());
-}
-
-TEST(Distribution, MergeAndMoments)
-{
-    Distribution a, b, all;
-    std::uint64_t state = 11;
-    for (int i = 0; i < 1000; ++i) {
-        double v = static_cast<double>(lcg(state) % 1000);
-        (i % 3 ? a : b).sample(v);
-        all.sample(v);
-    }
-    Distribution merged = a;
-    merged.merge(b);
-    EXPECT_EQ(merged.count(), all.count());
-    EXPECT_DOUBLE_EQ(merged.sum(), all.sum());
-    EXPECT_DOUBLE_EQ(merged.min(), all.min());
-    EXPECT_DOUBLE_EQ(merged.max(), all.max());
-    EXPECT_NEAR(merged.stddev(), all.stddev(), 1e-9);
-
-    // Merging empty-into-X and X-into-empty both behave.
-    Distribution empty;
-    merged.merge(empty);
-    EXPECT_EQ(merged.count(), all.count());
-    Distribution target;
-    target.merge(all);
-    EXPECT_EQ(target.count(), all.count());
-    EXPECT_DOUBLE_EQ(target.min(), all.min());
-}
-
-TEST(Distribution, EmptySentinelNeverEscapes)
-{
-    // Regression: an empty Distribution's internal min/max sentinels
-    // (+-1e300) must not leak into accessors or JSON output.
-    Distribution d;
-    EXPECT_EQ(d.min(), 0.0);
-    EXPECT_EQ(d.max(), 0.0);
-    EXPECT_EQ(d.mean(), 0.0);
-    EXPECT_EQ(d.stddev(), 0.0);
-
-    std::ostringstream os;
-    obs::JsonEmitter json(os);
-    d.writeJson(json);
-    std::string text = os.str();
-    EXPECT_EQ(text.find("1e+300"), std::string::npos) << text;
-    EXPECT_EQ(text.find("1e300"), std::string::npos) << text;
-    EXPECT_NE(text.find("\"count\": 0"), std::string::npos) << text;
-
-    // reset() re-arms the sentinel, not a stale min/max.
-    d.sample(5.0);
-    d.reset();
-    EXPECT_EQ(d.min(), 0.0);
-    EXPECT_EQ(d.max(), 0.0);
-    d.sample(9.0);
-    EXPECT_EQ(d.min(), 9.0);
-    EXPECT_EQ(d.max(), 9.0);
 }
 
 TEST(MetricGroup, HandleIdentityAndAliasing)

@@ -134,23 +134,11 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Stats, DistributionMoments)
-{
-    obs::Distribution d;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 4.0);
-    EXPECT_NEAR(d.stddev(), 1.2909944, 1e-6);
-}
-
 TEST(Stats, GroupDump)
 {
     obs::MetricGroup g("unit");
     g.counterHandle("hits").inc(3);
-    g.distributionHandle("lat").sample(1.0);
+    g.histogramHandle("lat").sample(1);
     std::string dump = g.dump();
     EXPECT_NE(dump.find("unit.hits 3"), std::string::npos);
     EXPECT_NE(dump.find("unit.lat.count 1"), std::string::npos);

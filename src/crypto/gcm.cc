@@ -64,7 +64,7 @@ AesGcm::AesGcm(const Bytes &key) : aes_(key)
         gf128Mul(hp2h_[i - 1], hp2l_[i - 1], hp2h_[i - 1],
                  hp2l_[i - 1], hp2h_[i], hp2l_[i]);
 
-    // Bake the SIMD dispatch context (no-op when cpuid or
+    // Bake the SIMD dispatch context (left not ready when cpuid or
     // CCAI_NO_SIMD rules the hardware path out).
     gcmSimdInit(simd_, aes_.roundKeyWords(), aes_.rounds(), hh_[8],
                 hl_[8]);
@@ -106,15 +106,6 @@ AesGcm::ghashAbsorb(std::uint64_t &yh, std::uint64_t &yl,
                     const std::uint8_t *data, size_t len) const
 {
     size_t off = 0;
-    if (simd_.ready && len >= 16) {
-        // PCLMULQDQ handles the full blocks; the zero-padded tail
-        // (if any) falls through to the table path below. Both paths
-        // compute the identical field product, so mixing them keeps
-        // tags bit-exact.
-        size_t blocks = len / 16;
-        gcmSimdGhash(simd_, yh, yl, data, blocks);
-        off = blocks * 16;
-    }
     while (off + 16 <= len) {
         yh ^= loadBe64(data + off);
         yl ^= loadBe64(data + off + 8);
@@ -131,14 +122,10 @@ AesGcm::ghashAbsorb(std::uint64_t &yh, std::uint64_t &yl,
 }
 
 void
-AesGcm::ctrApply(const Bytes &iv, std::uint8_t *data, size_t len,
+AesGcm::ctrApply(const Bytes &iv, const std::uint8_t *src,
+                 std::uint8_t *dst, size_t len,
                  std::uint32_t counter) const
 {
-    ccai_assert(iv.size() == kGcmIvSize);
-    if (simd_.ready) {
-        gcmSimdCtrXor(simd_, iv.data(), counter, data, len);
-        return;
-    }
     std::uint8_t ks[kCtrBatchBlocks * kAesBlockSize];
     size_t off = 0;
     while (off < len) {
@@ -148,19 +135,36 @@ AesGcm::ctrApply(const Bytes &iv, std::uint8_t *data, size_t len,
         counter += static_cast<std::uint32_t>(blocks);
         size_t take = std::min(len - off, blocks * kAesBlockSize);
         for (size_t j = 0; j < take; ++j)
-            data[off + j] ^= ks[j];
+            dst[off + j] = src[off + j] ^ ks[j];
         off += take;
     }
 }
 
 void
-AesGcm::computeTag(const Bytes &iv, const std::uint8_t *ct, size_t len,
-                   const std::uint8_t *aad, size_t aadLen,
-                   std::uint8_t tag[kGcmTagSize]) const
+AesGcm::cryptHash(const Bytes &iv, std::uint32_t counter,
+                  const std::uint8_t *src, std::uint8_t *dst, size_t len,
+                  std::uint64_t &yh, std::uint64_t &yl,
+                  bool encrypt) const
 {
-    std::uint64_t yh = 0, yl = 0;
-    ghashAbsorb(yh, yl, aad, aadLen);
-    ghashAbsorb(yh, yl, ct, len);
+    ccai_assert(iv.size() == kGcmIvSize);
+    if (simd_.ready()) {
+        gcmSimdCrypt(simd_, iv.data(), counter, src, dst, len, yh, yl,
+                     encrypt);
+        return;
+    }
+    // Reference path: two walks, hashing the ciphertext side.
+    if (!encrypt)
+        ghashAbsorb(yh, yl, src, len);
+    ctrApply(iv, src, dst, len, counter);
+    if (encrypt)
+        ghashAbsorb(yh, yl, dst, len);
+}
+
+void
+AesGcm::finishTag(const Bytes &iv, std::uint64_t yh, std::uint64_t yl,
+                  size_t aadLen, size_t len,
+                  std::uint8_t tag[kGcmTagSize]) const
+{
     yh ^= static_cast<std::uint64_t>(aadLen) * 8;
     yl ^= static_cast<std::uint64_t>(len) * 8;
     gmult(yh, yl);
@@ -174,39 +178,57 @@ AesGcm::computeTag(const Bytes &iv, const std::uint8_t *ct, size_t len,
         tag[i] ^= mask[i];
 }
 
-void
-AesGcm::sealInPlace(const Bytes &iv, std::uint8_t *data, size_t len,
-                    const std::uint8_t *aad, size_t aadLen,
-                    std::uint8_t tag[kGcmTagSize]) const
-{
-    ctrApply(iv, data, len, 2);
-    computeTag(iv, data, len, aad, aadLen, tag);
-}
-
 bool
-AesGcm::openInPlace(const Bytes &iv, std::uint8_t *data, size_t len,
-                    const std::uint8_t tag[kGcmTagSize],
-                    const std::uint8_t *aad, size_t aadLen) const
+AesGcm::verifyOrRestore(const Bytes &iv, std::uint8_t *dst, size_t len,
+                        const std::uint8_t expect[kGcmTagSize],
+                        const std::uint8_t tag[kGcmTagSize]) const
 {
-    std::uint8_t expect[kGcmTagSize];
-    computeTag(iv, data, len, aad, aadLen, expect);
     // Constant-shape comparison (no early exit), matching hardware
     // tag-check semantics.
     std::uint8_t diff = 0;
     for (size_t i = 0; i < kGcmTagSize; ++i)
         diff |= expect[i] ^ tag[i];
-    if (diff != 0)
-        return false;
-    ctrApply(iv, data, len, 2);
-    return true;
+    if (diff == 0)
+        return true;
+    // The one pass decrypted before the tag was known: the keystream
+    // again turns the destination back into the ciphertext, so no
+    // unverified plaintext is released.
+    std::uint64_t junkH = 0, junkL = 0;
+    cryptHash(iv, 2, dst, dst, len, junkH, junkL, true);
+    return false;
+}
+
+void
+AesGcm::seal(const Bytes &iv, const std::uint8_t *src, std::uint8_t *dst,
+             size_t len, const std::uint8_t *aad, size_t aadLen,
+             std::uint8_t tag[kGcmTagSize]) const
+{
+    std::uint64_t yh = 0, yl = 0;
+    ghashAbsorb(yh, yl, aad, aadLen);
+    cryptHash(iv, 2, src, dst, len, yh, yl, true);
+    finishTag(iv, yh, yl, aadLen, len, tag);
+}
+
+bool
+AesGcm::open(const Bytes &iv, const std::uint8_t *src, std::uint8_t *dst,
+             size_t len, const std::uint8_t tag[kGcmTagSize],
+             const std::uint8_t *aad, size_t aadLen) const
+{
+    std::uint64_t yh = 0, yl = 0;
+    ghashAbsorb(yh, yl, aad, aadLen);
+    cryptHash(iv, 2, src, dst, len, yh, yl, false);
+    std::uint8_t expect[kGcmTagSize];
+    finishTag(iv, yh, yl, aadLen, len, expect);
+    return verifyOrRestore(iv, dst, len, expect, tag);
 }
 
 // ---------------------------------------------------------------------
 // Parallel data-engine entry points. The decomposition is exact: CTR
 // blocks are independent by construction, and GHASH distributes over
 // contiguous segments as Y_n = A*H^n + sum_k S_k * H^{n-e_k}, where
-// S_k is segment k's zero-seeded GHASH, e_k its last global block
-// index, and A the post-AAD accumulator. Tags are therefore
+// S_k is segment k's zero-seeded GHASH, e_k its end block index (the
+// zero-padded partial block counts), n the payload's block count and
+// A the post-AAD accumulator. Ciphertext and tags are therefore
 // bit-identical to the serial path at any lane count.
 // ---------------------------------------------------------------------
 
@@ -265,105 +287,80 @@ AesGcm::hPower(std::uint64_t t, std::uint64_t &ph,
 }
 
 void
-AesGcm::ctrApplyParallel(const Bytes &iv, std::uint8_t *data,
-                         size_t len, WorkerPool &pool, int lanes) const
+AesGcm::cryptHashParallel(const Bytes &iv, const std::uint8_t *src,
+                          std::uint8_t *dst, size_t len,
+                          std::uint64_t &yh, std::uint64_t &yl,
+                          bool encrypt, WorkerPool &pool,
+                          int lanes) const
 {
-    size_t fullBlocks = len / kAesBlockSize;
-    size_t n = static_cast<size_t>(lanes);
-    pool.parallelFor(n, lanes, [&](size_t k) {
-        size_t b0 = fullBlocks * k / n;
-        size_t b1 = fullBlocks * (k + 1) / n;
-        size_t begin = b0 * kAesBlockSize;
-        size_t end = k + 1 == n ? len : b1 * kAesBlockSize;
-        if (end > begin)
-            ctrApply(iv, data + begin, end - begin,
-                     2 + static_cast<std::uint32_t>(b0));
-    });
-}
-
-void
-AesGcm::computeTagParallel(const Bytes &iv, const std::uint8_t *ct,
-                           size_t len, const std::uint8_t *aad,
-                           size_t aadLen,
-                           std::uint8_t tag[kGcmTagSize],
-                           WorkerPool &pool, int lanes) const
-{
-    size_t fullBlocks = len / kAesBlockSize;
-    size_t n = static_cast<size_t>(lanes);
+    const size_t fullBlocks = len / kAesBlockSize;
+    const size_t nBlocks = (len + kAesBlockSize - 1) / kAesBlockSize;
+    const size_t n = static_cast<size_t>(lanes);
+    // Segment k covers blocks [b(k), b(k+1)); the last one also takes
+    // the partial tail block.
+    auto segEnd = [&](size_t k) {
+        return k + 1 == n ? nBlocks : fullBlocks * (k + 1) / n;
+    };
 
     std::vector<std::uint64_t> sh(n, 0), sl(n, 0);
     pool.parallelFor(n, lanes, [&](size_t k) {
         size_t b0 = fullBlocks * k / n;
-        size_t b1 = fullBlocks * (k + 1) / n;
-        ghashAbsorb(sh[k], sl[k], ct + b0 * kAesBlockSize,
-                    (b1 - b0) * kAesBlockSize);
+        size_t begin = b0 * kAesBlockSize;
+        size_t end = std::min(len, segEnd(k) * kAesBlockSize);
+        if (end > begin)
+            cryptHash(iv, 2 + static_cast<std::uint32_t>(b0),
+                      src + begin, dst + begin, end - begin, sh[k],
+                      sl[k], encrypt);
     });
 
     // Serial fold, identical at any scheduling: XOR is commutative
     // and every power is a pure function of the segment geometry.
-    std::uint64_t yh = 0, yl = 0;
-    ghashAbsorb(yh, yl, aad, aadLen);
     if (yh || yl) {
         std::uint64_t ph, pl;
-        hPower(fullBlocks, ph, pl);
+        hPower(nBlocks, ph, pl);
         gf128Mul(yh, yl, ph, pl, yh, yl);
     }
     for (size_t k = 0; k < n; ++k) {
-        size_t e = fullBlocks * (k + 1) / n;
         std::uint64_t ph, pl, th, tl;
-        hPower(fullBlocks - e, ph, pl);
+        hPower(nBlocks - segEnd(k), ph, pl);
         gf128Mul(sh[k], sl[k], ph, pl, th, tl);
         yh ^= th;
         yl ^= tl;
     }
-    if (size_t tail = len % kAesBlockSize)
-        ghashAbsorb(yh, yl, ct + fullBlocks * kAesBlockSize, tail);
-    yh ^= static_cast<std::uint64_t>(aadLen) * 8;
-    yl ^= static_cast<std::uint64_t>(len) * 8;
-    gmult(yh, yl);
-
-    std::uint8_t mask[kAesBlockSize];
-    aes_.ctrKeystream(iv.data(), 1, mask, 1);
-    storeBe64(tag, yh);
-    storeBe64(tag + 8, yl);
-    for (size_t i = 0; i < kGcmTagSize; ++i)
-        tag[i] ^= mask[i];
 }
 
 void
-AesGcm::sealInPlace(const Bytes &iv, std::uint8_t *data, size_t len,
-                    const std::uint8_t *aad, size_t aadLen,
-                    std::uint8_t tag[kGcmTagSize], WorkerPool &pool,
-                    int width) const
+AesGcm::seal(const Bytes &iv, const std::uint8_t *src, std::uint8_t *dst,
+             size_t len, const std::uint8_t *aad, size_t aadLen,
+             std::uint8_t tag[kGcmTagSize], WorkerPool &pool,
+             int width) const
 {
     int lanes = parallelLanes(len, width);
     if (lanes <= 1) {
-        sealInPlace(iv, data, len, aad, aadLen, tag);
+        seal(iv, src, dst, len, aad, aadLen, tag);
         return;
     }
-    ctrApplyParallel(iv, data, len, pool, lanes);
-    computeTagParallel(iv, data, len, aad, aadLen, tag, pool, lanes);
+    std::uint64_t yh = 0, yl = 0;
+    ghashAbsorb(yh, yl, aad, aadLen);
+    cryptHashParallel(iv, src, dst, len, yh, yl, true, pool, lanes);
+    finishTag(iv, yh, yl, aadLen, len, tag);
 }
 
 bool
-AesGcm::openInPlace(const Bytes &iv, std::uint8_t *data, size_t len,
-                    const std::uint8_t tag[kGcmTagSize],
-                    const std::uint8_t *aad, size_t aadLen,
-                    WorkerPool &pool, int width) const
+AesGcm::open(const Bytes &iv, const std::uint8_t *src, std::uint8_t *dst,
+             size_t len, const std::uint8_t tag[kGcmTagSize],
+             const std::uint8_t *aad, size_t aadLen, WorkerPool &pool,
+             int width) const
 {
     int lanes = parallelLanes(len, width);
     if (lanes <= 1)
-        return openInPlace(iv, data, len, tag, aad, aadLen);
+        return open(iv, src, dst, len, tag, aad, aadLen);
+    std::uint64_t yh = 0, yl = 0;
+    ghashAbsorb(yh, yl, aad, aadLen);
+    cryptHashParallel(iv, src, dst, len, yh, yl, false, pool, lanes);
     std::uint8_t expect[kGcmTagSize];
-    computeTagParallel(iv, data, len, aad, aadLen, expect, pool,
-                       lanes);
-    std::uint8_t diff = 0;
-    for (size_t i = 0; i < kGcmTagSize; ++i)
-        diff |= expect[i] ^ tag[i];
-    if (diff != 0)
-        return false;
-    ctrApplyParallel(iv, data, len, pool, lanes);
-    return true;
+    finishTag(iv, yh, yl, aadLen, len, expect);
+    return verifyOrRestore(iv, dst, len, expect, tag);
 }
 
 Sealed
@@ -371,10 +368,10 @@ AesGcm::seal(const Bytes &iv, const Bytes &plaintext,
              const Bytes &aad) const
 {
     Sealed result;
-    result.ciphertext = plaintext;
+    result.ciphertext.resize(plaintext.size());
     result.tag.resize(kGcmTagSize);
-    sealInPlace(iv, result.ciphertext.data(), result.ciphertext.size(),
-                aad.data(), aad.size(), result.tag.data());
+    seal(iv, plaintext.data(), result.ciphertext.data(), plaintext.size(),
+         aad.data(), aad.size(), result.tag.data());
     return result;
 }
 
@@ -384,9 +381,9 @@ AesGcm::open(const Bytes &iv, const Bytes &ciphertext, const Bytes &tag,
 {
     if (tag.size() != kGcmTagSize)
         return std::nullopt;
-    Bytes plaintext = ciphertext;
-    if (!openInPlace(iv, plaintext.data(), plaintext.size(), tag.data(),
-                     aad.data(), aad.size()))
+    Bytes plaintext(ciphertext.size());
+    if (!open(iv, ciphertext.data(), plaintext.data(), ciphertext.size(),
+              tag.data(), aad.data(), aad.size()))
         return std::nullopt;
     return plaintext;
 }

@@ -10,13 +10,16 @@
  *
  * The implementation is throughput-oriented (this is the wall-clock
  * hot path of every A2 chunk; simulated time is modelled separately
- * by sc::AesGcmShaEngine / tvm::AdaptorTiming): GHASH runs on a
- * per-key 4-bit Shoup table precomputed at construction, AES rounds
- * are 32-bit T-tables, and the CTR keystream is generated in batches
- * straight from register-held counter words. The span/in-place
- * seal/open entry points let the data-plane engines encrypt and
- * decrypt without round-tripping payloads through extra Bytes
- * copies.
+ * by sc::AesGcmShaEngine / tvm::AdaptorTiming). Seal and open read a
+ * source and write a destination, equal for in place, so the
+ * data-plane engines crypt while they copy. Where cpuid allows, one
+ * stitched SIMD kernel (gcm_simd.hh) makes a single pass over the
+ * payload, encrypting and hashing each block as it is loaded, so open
+ * decrypts before the tag is known and, on a mismatch, applies the
+ * keystream again: a failed open leaves the destination holding
+ * exactly the ciphertext. The table path — a per-key 4-bit Shoup
+ * GHASH table and 32-bit AES T-tables — stays as the reference and
+ * the `CCAI_NO_SIMD=1` fallback, with the same contract.
  */
 
 #ifndef CCAI_CRYPTO_GCM_HH
@@ -79,45 +82,78 @@ class AesGcm
                               const Bytes &aad = {}) const;
 
     /**
-     * In-place seal: encrypts @p data (length @p len) in place and
-     * writes the 16-byte tag to @p tag. Equivalent to seal() without
-     * the ciphertext copy.
+     * Seal @p len bytes of plaintext from @p src into @p dst (equal
+     * for in place, disjoint otherwise) and write the 16-byte tag to
+     * @p tag.
      */
-    void sealInPlace(const Bytes &iv, std::uint8_t *data, size_t len,
-                     const std::uint8_t *aad, size_t aadLen,
-                     std::uint8_t tag[kGcmTagSize]) const;
+    void seal(const Bytes &iv, const std::uint8_t *src,
+              std::uint8_t *dst, size_t len, const std::uint8_t *aad,
+              size_t aadLen, std::uint8_t tag[kGcmTagSize]) const;
 
     /**
-     * In-place open: verifies @p tag over the ciphertext in
-     * @p data and, on success, decrypts it in place. On failure
-     * returns false and leaves @p data untouched (still ciphertext).
+     * Open @p len bytes of ciphertext from @p src into @p dst (equal
+     * for in place, disjoint otherwise). On a tag mismatch returns
+     * false with @p dst holding exactly the ciphertext, never
+     * plaintext.
      */
-    bool openInPlace(const Bytes &iv, std::uint8_t *data, size_t len,
-                     const std::uint8_t tag[kGcmTagSize],
-                     const std::uint8_t *aad, size_t aadLen) const;
+    bool open(const Bytes &iv, const std::uint8_t *src,
+              std::uint8_t *dst, size_t len,
+              const std::uint8_t tag[kGcmTagSize],
+              const std::uint8_t *aad, size_t aadLen) const;
 
     /**
-     * Parallel in-place seal: splits the payload into @p width
-     * contiguous block-aligned segments, each lane running CTR at
-     * the segment's counter offset plus a segment-local GHASH; the
+     * Parallel seal: splits the payload into @p width contiguous
+     * block-aligned segments, each lane running the one-pass kernel
+     * at the segment's counter offset with a segment-local GHASH; the
      * segment hashes are folded exactly (S = sum_k S_k * H^{n-e_k}),
-     * so the tag is bit-identical to the serial sealInPlace at any
-     * width. Falls back to serial for width <= 1 or short payloads.
+     * so ciphertext and tag are bit-identical to the serial seal at
+     * any width. Runs serially for width <= 1 or short payloads.
      */
-    void sealInPlace(const Bytes &iv, std::uint8_t *data, size_t len,
-                     const std::uint8_t *aad, size_t aadLen,
-                     std::uint8_t tag[kGcmTagSize], WorkerPool &pool,
-                     int width) const;
+    void seal(const Bytes &iv, const std::uint8_t *src,
+              std::uint8_t *dst, size_t len, const std::uint8_t *aad,
+              size_t aadLen, std::uint8_t tag[kGcmTagSize],
+              WorkerPool &pool, int width) const;
 
-    /** Parallel in-place open; same decomposition and guarantees. */
-    bool openInPlace(const Bytes &iv, std::uint8_t *data, size_t len,
-                     const std::uint8_t tag[kGcmTagSize],
-                     const std::uint8_t *aad, size_t aadLen,
-                     WorkerPool &pool, int width) const;
+    /** Parallel open; same decomposition and guarantees. */
+    bool open(const Bytes &iv, const std::uint8_t *src,
+              std::uint8_t *dst, size_t len,
+              const std::uint8_t tag[kGcmTagSize],
+              const std::uint8_t *aad, size_t aadLen, WorkerPool &pool,
+              int width) const;
+
+    /** seal() with @p data as both source and destination. */
+    void
+    sealInPlace(const Bytes &iv, std::uint8_t *data, size_t len,
+                const std::uint8_t *aad, size_t aadLen,
+                std::uint8_t tag[kGcmTagSize]) const
+    {
+        seal(iv, data, data, len, aad, aadLen, tag);
+    }
+
+    /** open() with @p data as both source and destination. */
+    bool
+    openInPlace(const Bytes &iv, std::uint8_t *data, size_t len,
+                const std::uint8_t tag[kGcmTagSize],
+                const std::uint8_t *aad, size_t aadLen) const
+    {
+        return open(iv, data, data, len, tag, aad, aadLen);
+    }
 
   private:
-    /** XOR the CTR keystream (starting at @p counter) into @p data. */
-    void ctrApply(const Bytes &iv, std::uint8_t *data, size_t len,
+    /**
+     * One pass over @p len bytes: CTR-crypt @p src into @p dst from
+     * @p counter and absorb the ciphertext (@p dst when @p encrypt,
+     * @p src otherwise, a partial final block zero-padded) into the
+     * GHASH accumulator held as two big-endian 64-bit halves.
+     */
+    void cryptHash(const Bytes &iv, std::uint32_t counter,
+                   const std::uint8_t *src, std::uint8_t *dst,
+                   size_t len, std::uint64_t &yh, std::uint64_t &yl,
+                   bool encrypt) const;
+    /** Table path: XOR the CTR keystream (from @p counter) into
+     * @p src, writing @p dst. */
+    void ctrApply(const Bytes &iv, const std::uint8_t *src,
+                  std::uint8_t *dst, size_t len,
                   std::uint32_t counter) const;
     /** Absorb @p len bytes (zero-padded to blocks) into the GHASH
      * accumulator held as two big-endian 64-bit halves. */
@@ -125,10 +161,16 @@ class AesGcm
                      const std::uint8_t *data, size_t len) const;
     /** Table-driven y <- y * H in GF(2^128). */
     void gmult(std::uint64_t &yh, std::uint64_t &yl) const;
-    /** Full GHASH + E_K(J0) tag computation over aad || ct. */
-    void computeTag(const Bytes &iv, const std::uint8_t *ct, size_t len,
-                    const std::uint8_t *aad, size_t aadLen,
-                    std::uint8_t tag[kGcmTagSize]) const;
+    /** Tag = E_K(J0) xor GHASH, given the accumulator over
+     * aad || ciphertext. */
+    void finishTag(const Bytes &iv, std::uint64_t yh, std::uint64_t yl,
+                   size_t aadLen, size_t len,
+                   std::uint8_t tag[kGcmTagSize]) const;
+    /** Open's tail: compare @p expect with @p tag in constant shape
+     * and, on a mismatch, crypt @p dst back to ciphertext. */
+    bool verifyOrRestore(const Bytes &iv, std::uint8_t *dst, size_t len,
+                         const std::uint8_t expect[kGcmTagSize],
+                         const std::uint8_t tag[kGcmTagSize]) const;
 
     /** Lanes a parallel op over @p len bytes should use (1 = run
      * the serial path). */
@@ -141,16 +183,14 @@ class AesGcm
     /** (ph, pl) <- H^t by square-and-multiply. */
     void hPower(std::uint64_t t, std::uint64_t &ph,
                 std::uint64_t &pl) const;
-    /** Parallel CTR over block-aligned lane ranges. */
-    void ctrApplyParallel(const Bytes &iv, std::uint8_t *data,
-                          size_t len, WorkerPool &pool,
-                          int lanes) const;
-    /** Parallel GHASH + E_K(J0) via exact segment folding. */
-    void computeTagParallel(const Bytes &iv, const std::uint8_t *ct,
-                            size_t len, const std::uint8_t *aad,
-                            size_t aadLen,
-                            std::uint8_t tag[kGcmTagSize],
-                            WorkerPool &pool, int lanes) const;
+    /** cryptHash() over @p lanes block-aligned segments at once;
+     * (yh, yl) enters holding the AAD hash and leaves holding the
+     * hash of aad || ciphertext. */
+    void cryptHashParallel(const Bytes &iv, const std::uint8_t *src,
+                           std::uint8_t *dst, size_t len,
+                           std::uint64_t &yh, std::uint64_t &yl,
+                           bool encrypt, WorkerPool &pool,
+                           int lanes) const;
 
     Aes aes_;
     /** 4-bit Shoup table for GHASH: hh_[i]/hl_[i] hold the high and
@@ -163,7 +203,7 @@ class AesGcm
     static constexpr int kHPowLadder = 48;
     std::uint64_t hp2h_[kHPowLadder];
     std::uint64_t hp2l_[kHPowLadder];
-    /** Runtime-dispatched SIMD kernels (ready=false -> table path). */
+    /** Runtime-dispatched SIMD kernel (not ready -> table path). */
     GcmSimdCtx simd_;
 };
 

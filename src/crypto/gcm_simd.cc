@@ -2,29 +2,46 @@
 
 #include <cstring>
 
-#include "cpu_features.hh"
-
-#if defined(__x86_64__)
+// The stitched loop (gcm_simd_stitch.inc) is written once and
+// compiled three times, once inside each width's `#pragma GCC target`
+// region, next to that width's lane type; other compilers build the
+// portable path only.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define CCAI_GCM_SIMD 1
 #include <immintrin.h>
+#else
+#define CCAI_GCM_SIMD 0
 #endif
 
 namespace ccai::crypto
 {
 
-#if defined(__x86_64__)
-
-// Each kernel carries its own target attribute so this TU compiles
-// with baseline flags; gcmSimd* entry points are only reached when
-// the cpuid probe says the ISA is present.
-#define CCAI_TGT_BASE __attribute__((target("aes,pclmul,ssse3,sse4.1")))
-#define CCAI_TGT_WIDE \
-    __attribute__((target("vaes,avx2,aes,pclmul,ssse3,sse4.1")))
+#if CCAI_GCM_SIMD
 
 namespace
 {
 
+// ---------------------------------------------------------------------
+// 128-bit helpers and lanes. The helpers use the baseline tier's ISA,
+// so every wider copy of the loop can inline them.
+// ---------------------------------------------------------------------
+#pragma GCC push_options
+#pragma GCC target("aes,pclmul,ssse3,sse4.1")
+
+inline __m128i
+load128(const std::uint8_t *p)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+inline void
+store128(std::uint8_t *p, __m128i v)
+{
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
+}
+
 /** dst[i] = src[15-i]: block bytes <-> GHASH bit-reflected lanes. */
-CCAI_TGT_BASE inline __m128i
+inline __m128i
 bswapMask()
 {
     return _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
@@ -33,10 +50,10 @@ bswapMask()
 
 /**
  * (lo, hi) ^= a * b as a raw 256-bit carry-less product (Karatsuba-
- * free four-multiply form). Deferring the shift/reduce lets 4-block
- * aggregation pay one reduction per 64 bytes.
+ * free four-multiply form). Deferring the shift/reduce lets
+ * aggregation pay one reduction per run of blocks.
  */
-CCAI_TGT_BASE inline void
+inline void
 clmulAcc(__m128i a, __m128i b, __m128i &lo, __m128i &hi)
 {
     __m128i t0 = _mm_clmulepi64_si128(a, b, 0x00);
@@ -55,7 +72,7 @@ clmulAcc(__m128i a, __m128i b, __m128i &lo, __m128i &hi)
  * (the bit-reflection adjustment from the Intel CLMUL white paper)
  * and reduce mod x^128 + x^7 + x^2 + x + 1.
  */
-CCAI_TGT_BASE inline __m128i
+inline __m128i
 ghashReduce(__m128i lo, __m128i hi)
 {
     // 256-bit shift left by 1: per-dword shifts with carries marched
@@ -84,192 +101,195 @@ ghashReduce(__m128i lo, __m128i hi)
     return _mm_xor_si128(hi, lo);
 }
 
-/** Full GHASH field multiply of byte-reflected operands. */
-CCAI_TGT_BASE inline __m128i
-gfmul(__m128i a, __m128i b)
-{
-    __m128i lo = _mm_setzero_si128();
-    __m128i hi = _mm_setzero_si128();
-    clmulAcc(a, b, lo, hi);
-    return ghashReduce(lo, hi);
-}
-
-CCAI_TGT_BASE void
+/** H^1..H^16 into ctx.hPow in descending order. */
+void
 initHPowers(GcmSimdCtx &ctx, std::uint64_t hHigh, std::uint64_t hLow)
 {
     const __m128i h1 = _mm_set_epi64x(
         static_cast<long long>(hHigh), static_cast<long long>(hLow));
     __m128i p = h1;
-    _mm_store_si128(reinterpret_cast<__m128i *>(ctx.hPow[0]), p);
-    for (int i = 1; i < 4; ++i) {
-        p = gfmul(p, h1);
-        _mm_store_si128(reinterpret_cast<__m128i *>(ctx.hPow[i]), p);
-    }
-}
-
-/** Counter block: iv (lanes 0..2 of @p base) || be32(counter). */
-CCAI_TGT_BASE inline __m128i
-ctrBlock(__m128i base, std::uint32_t counter)
-{
-    return _mm_insert_epi32(
-        base, static_cast<int>(__builtin_bswap32(counter)), 3);
-}
-
-CCAI_TGT_BASE inline __m128i
-encryptOne(const __m128i *rk, int rounds, __m128i b)
-{
-    b = _mm_xor_si128(b, rk[0]);
-    for (int r = 1; r < rounds; ++r)
-        b = _mm_aesenc_si128(b, rk[r]);
-    return _mm_aesenclast_si128(b, rk[rounds]);
-}
-
-CCAI_TGT_BASE void
-ctrXor128(const GcmSimdCtx &ctx, const std::uint8_t iv[12],
-          std::uint32_t counter, std::uint8_t *data, size_t len)
-{
-    __m128i rk[15];
-    for (int r = 0; r <= ctx.rounds; ++r)
-        rk[r] = _mm_load_si128(
-            reinterpret_cast<const __m128i *>(ctx.roundKeys[r]));
-    alignas(16) std::uint8_t baseBytes[16] = {};
-    std::memcpy(baseBytes, iv, 12);
-    const __m128i base =
-        _mm_load_si128(reinterpret_cast<const __m128i *>(baseBytes));
-
-    // 8-block interleave keeps the AES units' pipelines full.
-    while (len >= 8 * 16) {
-        __m128i b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = _mm_xor_si128(ctrBlock(base, counter + i), rk[0]);
-        for (int r = 1; r < ctx.rounds; ++r)
-            for (int i = 0; i < 8; ++i)
-                b[i] = _mm_aesenc_si128(b[i], rk[r]);
-        for (int i = 0; i < 8; ++i)
-            b[i] = _mm_aesenclast_si128(b[i], rk[ctx.rounds]);
-        for (int i = 0; i < 8; ++i) {
-            __m128i *p = reinterpret_cast<__m128i *>(data + 16 * i);
-            _mm_storeu_si128(
-                p, _mm_xor_si128(_mm_loadu_si128(p), b[i]));
-        }
-        counter += 8;
-        data += 8 * 16;
-        len -= 8 * 16;
-    }
-    while (len > 0) {
-        __m128i ks =
-            encryptOne(rk, ctx.rounds, ctrBlock(base, counter++));
-        if (len >= 16) {
-            __m128i *p = reinterpret_cast<__m128i *>(data);
-            _mm_storeu_si128(p,
-                             _mm_xor_si128(_mm_loadu_si128(p), ks));
-            data += 16;
-            len -= 16;
-        } else {
-            alignas(16) std::uint8_t tail[16];
-            _mm_store_si128(reinterpret_cast<__m128i *>(tail), ks);
-            for (size_t j = 0; j < len; ++j)
-                data[j] ^= tail[j];
-            len = 0;
-        }
-    }
-}
-
-/** VAES tier: two counter blocks per 256-bit lane pair. */
-CCAI_TGT_WIDE void
-ctrXorWide(const GcmSimdCtx &ctx, const std::uint8_t iv[12],
-           std::uint32_t counter, std::uint8_t *data, size_t len)
-{
-    __m256i rk2[15];
-    for (int r = 0; r <= ctx.rounds; ++r)
-        rk2[r] = _mm256_broadcastsi128_si256(_mm_load_si128(
-            reinterpret_cast<const __m128i *>(ctx.roundKeys[r])));
-    alignas(16) std::uint8_t baseBytes[16] = {};
-    std::memcpy(baseBytes, iv, 12);
-    const __m128i base =
-        _mm_load_si128(reinterpret_cast<const __m128i *>(baseBytes));
-
-    while (len >= 8 * 16) {
-        __m256i b[4];
-        for (int j = 0; j < 4; ++j) {
-            __m256i cb = _mm256_set_m128i(
-                ctrBlock(base, counter + 2 * j + 1),
-                ctrBlock(base, counter + 2 * j));
-            b[j] = _mm256_xor_si256(cb, rk2[0]);
-        }
-        for (int r = 1; r < ctx.rounds; ++r)
-            for (int j = 0; j < 4; ++j)
-                b[j] = _mm256_aesenc_epi128(b[j], rk2[r]);
-        for (int j = 0; j < 4; ++j)
-            b[j] = _mm256_aesenclast_epi128(b[j], rk2[ctx.rounds]);
-        for (int j = 0; j < 4; ++j) {
-            __m256i *p = reinterpret_cast<__m256i *>(data + 32 * j);
-            _mm256_storeu_si256(
-                p, _mm256_xor_si256(_mm256_loadu_si256(p), b[j]));
-        }
-        counter += 8;
-        data += 8 * 16;
-        len -= 8 * 16;
-    }
-    if (len > 0)
-        ctrXor128(ctx, iv, counter, data, len);
-}
-
-CCAI_TGT_BASE void
-ghashBlocks(const GcmSimdCtx &ctx, std::uint64_t &yh, std::uint64_t &yl,
-            const std::uint8_t *data, size_t nblocks)
-{
-    const __m128i bs = bswapMask();
-    __m128i y = _mm_set_epi64x(static_cast<long long>(yh),
-                               static_cast<long long>(yl));
-    const __m128i h1 = _mm_load_si128(
-        reinterpret_cast<const __m128i *>(ctx.hPow[0]));
-    const __m128i h2 = _mm_load_si128(
-        reinterpret_cast<const __m128i *>(ctx.hPow[1]));
-    const __m128i h3 = _mm_load_si128(
-        reinterpret_cast<const __m128i *>(ctx.hPow[2]));
-    const __m128i h4 = _mm_load_si128(
-        reinterpret_cast<const __m128i *>(ctx.hPow[3]));
-
-    // 4-block aggregation with one deferred reduction:
-    // Y' = (Y^X1)*H^4 ^ X2*H^3 ^ X3*H^2 ^ X4*H.
-    while (nblocks >= 4) {
-        __m128i x0 = _mm_shuffle_epi8(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(data)),
-            bs);
-        __m128i x1 = _mm_shuffle_epi8(
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(data + 16)),
-            bs);
-        __m128i x2 = _mm_shuffle_epi8(
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(data + 32)),
-            bs);
-        __m128i x3 = _mm_shuffle_epi8(
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(data + 48)),
-            bs);
+    for (int i = kGcmSimdMaxStride - 1; i >= 0; --i) {
+        store128(ctx.hPow[i], p);
         __m128i lo = _mm_setzero_si128();
         __m128i hi = _mm_setzero_si128();
-        clmulAcc(_mm_xor_si128(y, x0), h4, lo, hi);
-        clmulAcc(x1, h3, lo, hi);
-        clmulAcc(x2, h2, lo, hi);
-        clmulAcc(x3, h1, lo, hi);
-        y = ghashReduce(lo, hi);
-        data += 4 * 16;
-        nblocks -= 4;
+        clmulAcc(p, h1, lo, hi);
+        p = ghashReduce(lo, hi);
     }
-    while (nblocks > 0) {
-        __m128i x = _mm_shuffle_epi8(
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(data)),
-            bs);
-        y = gfmul(_mm_xor_si128(y, x), h1);
-        data += 16;
-        --nblocks;
-    }
-    yh = static_cast<std::uint64_t>(_mm_extract_epi64(y, 1));
-    yl = static_cast<std::uint64_t>(_mm_extract_epi64(y, 0));
 }
+
+namespace w128
+{
+
+/** 128-bit lanes: one block per register, eight per stride. */
+struct Lane
+{
+    using V = __m128i;
+    static constexpr int kBlocks = 1;
+    static constexpr int kVecs = 8;
+
+    static V load(const std::uint8_t *p) { return load128(p); }
+    static void store(std::uint8_t *p, V v) { store128(p, v); }
+    static V broadcast(__m128i x) { return x; }
+    /** @p x in lane 0, zero elsewhere. */
+    static V lane0(__m128i x) { return x; }
+    /** XOR of all 128-bit lanes. */
+    static __m128i fold(V v) { return v; }
+    /** Lane 0. */
+    static __m128i low(V v) { return v; }
+    /** Lane l holds l in dword 0: per-lane counter offsets. */
+    static V laneIndex() { return _mm_setzero_si128(); }
+    static V xor_(V a, V b) { return _mm_xor_si128(a, b); }
+    static V add32(V a, V b) { return _mm_add_epi32(a, b); }
+    static V shuffle(V a, V m) { return _mm_shuffle_epi8(a, m); }
+    static V aesenc(V a, V k) { return _mm_aesenc_si128(a, k); }
+    static V aesenclast(V a, V k) { return _mm_aesenclast_si128(a, k); }
+    template <int kImm>
+    static V
+    clmul(V a, V b)
+    {
+        return _mm_clmulepi64_si128(a, b, kImm);
+    }
+};
+
+#include "gcm_simd_stitch.inc"
+
+} // namespace w128
+
+#pragma GCC pop_options
+
+// ---------------------------------------------------------------------
+// 256-bit lanes: two blocks per register, sixteen per stride.
+// ---------------------------------------------------------------------
+#pragma GCC push_options
+#pragma GCC target("vaes,vpclmulqdq,avx2,aes,pclmul,ssse3,sse4.1")
+
+namespace w256
+{
+
+struct Lane
+{
+    using V = __m256i;
+    static constexpr int kBlocks = 2;
+    static constexpr int kVecs = 8;
+
+    static V
+    load(const std::uint8_t *p)
+    {
+        return _mm256_loadu_si256(reinterpret_cast<const V *>(p));
+    }
+    static void
+    store(std::uint8_t *p, V v)
+    {
+        _mm256_storeu_si256(reinterpret_cast<V *>(p), v);
+    }
+    static V broadcast(__m128i x) { return _mm256_broadcastsi128_si256(x); }
+    static V lane0(__m128i x) { return _mm256_zextsi128_si256(x); }
+    static __m128i
+    fold(V v)
+    {
+        return _mm_xor_si128(_mm256_castsi256_si128(v),
+                             _mm256_extracti128_si256(v, 1));
+    }
+    static __m128i low(V v) { return _mm256_castsi256_si128(v); }
+    static V laneIndex() { return _mm256_set_epi32(0, 0, 0, 1, 0, 0, 0, 0); }
+    static V xor_(V a, V b) { return _mm256_xor_si256(a, b); }
+    static V add32(V a, V b) { return _mm256_add_epi32(a, b); }
+    static V shuffle(V a, V m) { return _mm256_shuffle_epi8(a, m); }
+    static V aesenc(V a, V k) { return _mm256_aesenc_epi128(a, k); }
+    static V
+    aesenclast(V a, V k)
+    {
+        return _mm256_aesenclast_epi128(a, k);
+    }
+    template <int kImm>
+    static V
+    clmul(V a, V b)
+    {
+        return _mm256_clmulepi64_epi128(a, b, kImm);
+    }
+};
+
+#include "gcm_simd_stitch.inc"
+
+} // namespace w256
+
+#pragma GCC pop_options
+
+// ---------------------------------------------------------------------
+// 512-bit lanes: four blocks per register, sixteen per stride.
+// ---------------------------------------------------------------------
+#pragma GCC push_options
+#pragma GCC target("vaes,vpclmulqdq,avx512f,avx512bw,avx512vl,avx2," \
+                   "aes,pclmul,ssse3,sse4.1")
+// GCC 12's broadcast/extract intrinsics seed their pass-through
+// operand from a self-initialised "undefined" vector, which
+// -Wmaybe-uninitialized reports once inlined (GCC bug 105593).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+namespace w512
+{
+
+struct Lane
+{
+    using V = __m512i;
+    static constexpr int kBlocks = 4;
+    static constexpr int kVecs = 4;
+
+    static V load(const std::uint8_t *p) { return _mm512_loadu_si512(p); }
+    static void store(std::uint8_t *p, V v) { _mm512_storeu_si512(p, v); }
+    static V broadcast(__m128i x) { return _mm512_broadcast_i32x4(x); }
+    static V lane0(__m128i x) { return _mm512_zextsi128_si512(x); }
+    static __m128i
+    fold(V v)
+    {
+        return _mm_xor_si128(
+            _mm_xor_si128(_mm512_extracti32x4_epi32(v, 0),
+                          _mm512_extracti32x4_epi32(v, 1)),
+            _mm_xor_si128(_mm512_extracti32x4_epi32(v, 2),
+                          _mm512_extracti32x4_epi32(v, 3)));
+    }
+    static __m128i low(V v) { return _mm512_castsi512_si128(v); }
+    static V
+    laneIndex()
+    {
+        return _mm512_set_epi32(0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0,
+                                0, 0);
+    }
+    static V xor_(V a, V b) { return _mm512_xor_si512(a, b); }
+    static V add32(V a, V b) { return _mm512_add_epi32(a, b); }
+    static V shuffle(V a, V m) { return _mm512_shuffle_epi8(a, m); }
+    static V aesenc(V a, V k) { return _mm512_aesenc_epi128(a, k); }
+    static V
+    aesenclast(V a, V k)
+    {
+        return _mm512_aesenclast_epi128(a, k);
+    }
+    template <int kImm>
+    static V
+    clmul(V a, V b)
+    {
+        return _mm512_clmulepi64_epi128(a, b, kImm);
+    }
+};
+
+#include "gcm_simd_stitch.inc"
+
+} // namespace w512
+
+#pragma GCC diagnostic pop
+#pragma GCC pop_options
+
+using Kernel = void (*)(const GcmSimdCtx &, const std::uint8_t *,
+                        std::uint32_t, const std::uint8_t *,
+                        std::uint8_t *, size_t, __m128i &);
+
+/** kKernels[tier - 1][encrypt]. */
+constexpr Kernel kKernels[3][2] = {
+    {w128::stitch<false>, w128::stitch<true>},
+    {w256::stitch<false>, w256::stitch<true>},
+    {w512::stitch<false>, w512::stitch<true>},
+};
 
 } // namespace
 
@@ -277,8 +297,7 @@ void
 gcmSimdInit(GcmSimdCtx &ctx, const std::uint32_t *rkWords, int rounds,
             std::uint64_t hHigh, std::uint64_t hLow)
 {
-    ctx.ready = false;
-    ctx.wide = false;
+    ctx.tier = SimdTier::kNone;
     SimdTier tier = simdTier();
     if (tier == SimdTier::kNone)
         return;
@@ -297,47 +316,40 @@ gcmSimdInit(GcmSimdCtx &ctx, const std::uint32_t *rkWords, int rounds,
         }
     }
     initHPowers(ctx, hHigh, hLow);
-    ctx.ready = true;
-    ctx.wide = tier == SimdTier::kVaes;
+    ctx.tier = tier;
 }
 
 void
-gcmSimdCtrXor(const GcmSimdCtx &ctx, const std::uint8_t iv[12],
-              std::uint32_t counter, std::uint8_t *data, size_t len)
+gcmSimdCrypt(const GcmSimdCtx &ctx, const std::uint8_t iv[12],
+             std::uint32_t counter, const std::uint8_t *src,
+             std::uint8_t *dst, size_t len, std::uint64_t &yh,
+             std::uint64_t &yl, bool encrypt)
 {
-    if (ctx.wide && len >= 8 * 16)
-        ctrXorWide(ctx, iv, counter, data, len);
-    else
-        ctrXor128(ctx, iv, counter, data, len);
+    if (len == 0)
+        return;
+    __m128i y = _mm_set_epi64x(static_cast<long long>(yh),
+                               static_cast<long long>(yl));
+    kKernels[static_cast<int>(ctx.tier) - 1][encrypt](
+        ctx, iv, counter, src, dst, len, y);
+    alignas(16) std::uint64_t halves[2] = {};
+    _mm_store_si128(reinterpret_cast<__m128i *>(halves), y);
+    yl = halves[0];
+    yh = halves[1];
 }
 
-void
-gcmSimdGhash(const GcmSimdCtx &ctx, std::uint64_t &yh,
-             std::uint64_t &yl, const std::uint8_t *data,
-             size_t nblocks)
-{
-    ghashBlocks(ctx, yh, yl, data, nblocks);
-}
-
-#else // !__x86_64__
+#else // !CCAI_GCM_SIMD
 
 void
 gcmSimdInit(GcmSimdCtx &ctx, const std::uint32_t *, int, std::uint64_t,
             std::uint64_t)
 {
-    ctx.ready = false;
-    ctx.wide = false;
+    ctx.tier = SimdTier::kNone;
 }
 
 void
-gcmSimdCtrXor(const GcmSimdCtx &, const std::uint8_t *, std::uint32_t,
-              std::uint8_t *, size_t)
-{
-}
-
-void
-gcmSimdGhash(const GcmSimdCtx &, std::uint64_t &, std::uint64_t &,
-             const std::uint8_t *, size_t)
+gcmSimdCrypt(const GcmSimdCtx &, const std::uint8_t *, std::uint32_t,
+             const std::uint8_t *, std::uint8_t *, size_t,
+             std::uint64_t &, std::uint64_t &, bool)
 {
 }
 

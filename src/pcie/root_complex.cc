@@ -14,6 +14,7 @@ RootComplex::Handles::Handles(obs::MetricGroup &g)
       unsupported(g.counterHandle("unsupported")),
       readRetries(g.counterHandle("read_retries")),
       readRetryExhausted(g.counterHandle("read_retry_exhausted")),
+      tagExhausted(g.counterHandle("tag_exhausted")),
       faultsRecovered(g.counterHandle("faults_recovered")),
       faultsFatal(g.counterHandle("faults_fatal")),
       iommuBlocked(g.counterHandle("iommu_blocked")),
@@ -39,7 +40,7 @@ RootComplex::RootComplex(sim::System &sys, std::string name,
 {
 }
 
-std::uint8_t
+std::optional<std::uint8_t>
 RootComplex::allocTag()
 {
     // 256-entry tag space; wrap-around with occupancy check.
@@ -48,7 +49,7 @@ RootComplex::allocTag()
         if (!outstanding_.count(candidate))
             return candidate;
     }
-    panic("root complex: tag space exhausted");
+    return std::nullopt;
 }
 
 void
@@ -56,7 +57,25 @@ RootComplex::sendRead(Tlp tlp, CplCallback cb)
 {
     if (!down_)
         panic("root complex: downstream link not connected");
-    tlp.tag = allocTag();
+    std::optional<std::uint8_t> freeTag = allocTag();
+    if (!freeTag) {
+        // Every tag is held by an outstanding read; a device that
+        // withholds completions keeps each one for the whole retry
+        // budget. Fail this read closed with an abort, delivered from
+        // the event queue so the caller is never re-entered from
+        // inside its own sendRead.
+        s_.tagExhausted.inc();
+        warnRateLimited("rc-tag-exhausted",
+                        "root complex: all 256 read tags outstanding; "
+                        "aborting read of 0x%llx",
+                        (unsigned long long)tlp.address);
+        auto cpl = std::make_shared<Tlp>(Tlp::makeCompletion(
+            tlp.completer, tlp.requester, 0, {},
+            CplStatus::CompleterAbort));
+        eventq().scheduleIn(0, [cb = std::move(cb), cpl] { cb(cpl); });
+        return;
+    }
+    tlp.tag = *freeTag;
     std::uint8_t tag = tlp.tag;
     auto req = std::make_shared<Tlp>(std::move(tlp));
 

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "obs/metric_group.hh"
 #include "obs/trace.hh"
@@ -57,7 +58,9 @@ class RootComplex : public sim::SimObject, public PcieNode
      * completion returns. An unanswered read is retransmitted on the
      * same tag with exponential backoff; after kMaxReadRetries @p cb
      * receives a fabricated CompleterAbort completion, so callers
-     * never hang on a lossy fabric.
+     * never hang on a lossy fabric. With all 256 tags outstanding the
+     * read is not sent: @p cb gets a CompleterAbort from the event
+     * queue and `tag_exhausted` counts it.
      */
     void sendRead(Tlp tlp, CplCallback cb);
 
@@ -132,7 +135,8 @@ class RootComplex : public sim::SimObject, public PcieNode
         std::unique_ptr<sim::EventFunctionWrapper> timer;
     };
 
-    std::uint8_t allocTag();
+    /** A free read tag, or nullopt when all 256 are outstanding. */
+    std::optional<std::uint8_t> allocTag();
     void handleInboundRequest(const TlpPtr &tlp);
     void armReadTimer(std::uint8_t tag);
     void onReadTimeout(std::uint8_t tag);
@@ -165,6 +169,8 @@ class RootComplex : public sim::SimObject, public PcieNode
         obs::CounterHandle unsupported;
         obs::CounterHandle readRetries;
         obs::CounterHandle readRetryExhausted;
+        /** Reads aborted because all 256 tags were outstanding. */
+        obs::CounterHandle tagExhausted;
         obs::CounterHandle faultsRecovered;
         obs::CounterHandle faultsFatal;
         obs::CounterHandle iommuBlocked;

@@ -15,12 +15,21 @@ namespace
 /** Payloads at least this large are copied via the buffer pool. */
 constexpr std::size_t kPooledPayloadBytes = 4096;
 
+/** A @p size-byte payload buffer, pooled from the copy threshold. */
+Bytes
+payloadBuffer(std::size_t size)
+{
+    if (size < kPooledPayloadBytes)
+        return Bytes(size);
+    return BufferPool::global().acquire(size);
+}
+
 Bytes
 copyPayload(const Bytes &src)
 {
     if (src.size() < kPooledPayloadBytes)
         return src;
-    Bytes out = BufferPool::global().acquire(src.size());
+    Bytes out = payloadBuffer(src.size());
     std::memcpy(out.data(), src.data(), src.size());
     return out;
 }
@@ -34,16 +43,24 @@ retirePayload(Bytes &&buf)
 
 } // namespace
 
-Tlp::Tlp(const Tlp &other)
-    : fmt(other.fmt), type(other.type), requester(other.requester),
-      completer(other.completer), tag(other.tag),
-      address(other.address), lengthBytes(other.lengthBytes),
-      cplStatus(other.cplStatus), msgCode(other.msgCode),
-      data(copyPayload(other.data)), synthetic(other.synthetic),
-      encrypted(other.encrypted), seqNo(other.seqNo),
-      authTagId(other.authTagId), ackRequired(other.ackRequired),
-      txChannel(other.txChannel), integrityTag(other.integrityTag)
+Tlp::Tlp(const Tlp &header, Bytes payload)
+    : fmt(header.fmt), type(header.type), requester(header.requester),
+      completer(header.completer), tag(header.tag),
+      address(header.address), lengthBytes(header.lengthBytes),
+      cplStatus(header.cplStatus), msgCode(header.msgCode),
+      data(std::move(payload)), synthetic(header.synthetic),
+      encrypted(header.encrypted), seqNo(header.seqNo),
+      authTagId(header.authTagId), ackRequired(header.ackRequired),
+      txChannel(header.txChannel), integrityTag(header.integrityTag)
 {
+}
+
+Tlp::Tlp(const Tlp &other) : Tlp(other, copyPayload(other.data)) {}
+
+Tlp
+Tlp::blankCopy(const Tlp &other)
+{
+    return Tlp(other, payloadBuffer(other.data.size()));
 }
 
 Tlp &

@@ -125,6 +125,14 @@ struct Tlp
     Tlp &operator=(Tlp &&) noexcept = default;
     ~Tlp();
 
+    /**
+     * A copy of @p other whose payload has the same size, drawn from
+     * the same pool, but unspecified contents: for engines that write
+     * the payload as they transform it (the PCIe-SC's A2 crypt), so
+     * the source bytes are not copied first.
+     */
+    static Tlp blankCopy(const Tlp &other);
+
     // ---- header fields the Packet Filter matches on ----
     TlpFmt fmt = TlpFmt::ThreeDwNoData;
     TlpType type = TlpType::MemRead;
@@ -235,6 +243,10 @@ struct Tlp
                            std::uint8_t tag);
     static Tlp makeCfgWrite(Bdf requester, Bdf target, Addr offset,
                             Bytes payload);
+
+  private:
+    /** @p header's fields with @p payload as the data. */
+    Tlp(const Tlp &header, Bytes payload);
 };
 
 using TlpPtr = std::shared_ptr<Tlp>;

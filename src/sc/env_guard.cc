@@ -22,12 +22,15 @@ EnvGuard::checkMmioWrite(const pcie::Tlp &tlp)
     auto it = constraints_.find(offset);
     if (it == constraints_.end())
         return true;
-    if (tlp.synthetic || tlp.data.size() < 8)
-        return true;
 
+    // Check the value the device will latch: XpuDevice::handleMmioWrite
+    // latches 0 for a synthetic write or one shorter than 8 bytes, so
+    // those are checked as 0 rather than passed unchecked.
     std::uint64_t value = 0;
-    for (int i = 7; i >= 0; --i)
-        value = (value << 8) | tlp.data[i];
+    if (!tlp.synthetic && tlp.data.size() >= 8) {
+        for (int i = 7; i >= 0; --i)
+            value = (value << 8) | tlp.data[i];
+    }
 
     const MmioConstraint &c = it->second;
     if (value < c.minValue || value > c.maxValue) {

@@ -448,21 +448,25 @@ PcieSc::handleA2Downstream(const TlpPtr &tlp)
         return;
     }
 
-    // Decrypt in place on a copy of the TLP under the cached epoch
-    // cipher (no plaintext round trip through a temporary). Past the
-    // branch above, a synthetic bit on either side means the TLP and
-    // its record disagree: there are no bytes to authenticate, so it
-    // fails like a bad tag.
-    const crypto::AesGcm &cipher = tenant->keys->cipherCached(
-        trust::StreamDir::HostToDevice, rec->epoch);
-    auto out = std::make_shared<Tlp>(*tlp);
-    if (tlp->synthetic || rec->synthetic ||
-        rec->tag.size() != crypto::kGcmTagSize ||
-        !cipher.openInPlace(rec->iv, out->data.data(),
-                            out->data.size(), rec->tag.data(),
-                            nullptr, 0,
-                            crypto::WorkerPool::shared(),
-                            config_.dataEngineThreads)) {
+    // Decrypt under the cached epoch cipher straight from the
+    // incoming payload into the outgoing TLP's pooled one, so each
+    // ciphertext byte is read once. Past the branch above, a
+    // synthetic bit on either side means the TLP and its record
+    // disagree: there are no bytes to authenticate, so it fails like
+    // a bad tag.
+    TlpPtr out;
+    bool ok = !tlp->synthetic && !rec->synthetic &&
+              rec->tag.size() == crypto::kGcmTagSize;
+    if (ok) {
+        const crypto::AesGcm &cipher = tenant->keys->cipherCached(
+            trust::StreamDir::HostToDevice, rec->epoch);
+        out = std::make_shared<Tlp>(Tlp::blankCopy(*tlp));
+        ok = cipher.open(rec->iv, tlp->data.data(), out->data.data(),
+                         tlp->data.size(), rec->tag.data(), nullptr, 0,
+                         crypto::WorkerPool::shared(),
+                         config_.dataEngineThreads);
+    }
+    if (!ok) {
         s_.a2IntegrityFailures.inc();
         warnRateLimited(
             "sc-a2-integrity",
@@ -650,17 +654,16 @@ PcieSc::handleA2Upstream(const TlpPtr &tlp)
         // Copy so the ARQ wrapper never mutates the device's TLP.
         out = std::make_shared<Tlp>(*tlp);
     } else {
-        // Encrypt in place on a copy of the TLP under the cached
-        // epoch cipher.
+        // Encrypt under the cached epoch cipher straight from the
+        // device's payload into the outgoing TLP's pooled one.
         const crypto::AesGcm &cipher = tenant->keys->cipherCached(
             trust::StreamDir::DeviceToHost, rec.epoch);
-        auto enc = std::make_shared<Tlp>(*tlp);
+        auto enc = std::make_shared<Tlp>(Tlp::blankCopy(*tlp));
         rec.tag.resize(crypto::kGcmTagSize);
-        cipher.sealInPlace(rec.iv, enc->data.data(),
-                           enc->data.size(), nullptr, 0,
-                           rec.tag.data(),
-                           crypto::WorkerPool::shared(),
-                           config_.dataEngineThreads);
+        cipher.seal(rec.iv, tlp->data.data(), enc->data.data(),
+                    tlp->data.size(), nullptr, 0, rec.tag.data(),
+                    crypto::WorkerPool::shared(),
+                    config_.dataEngineThreads);
         enc->encrypted = true;
         out = enc;
         // Keep a pristine copy for kChunkRetry replays (wire

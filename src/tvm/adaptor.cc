@@ -1,7 +1,6 @@
 #include "adaptor.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/bytes_util.hh"
 #include "common/logging.hh"
@@ -368,11 +367,11 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
         // count: (1) serial record build — nextIv() draws and epoch
         // rotation must happen in chunkId order, and cipherCached()
         // may construct (sharded-cache fill), so both stay on the
-        // sim thread; (2) parallel seal: the plaintext is copied once
-        // into the pinned DMA arena and sealed IN PLACE there. Seal
-        // order never matters: every IV is pre-drawn and every
-        // output slot is disjoint, so tags are bit-identical at any
-        // width and any completion order.
+        // sim thread; (2) parallel seal straight from the caller's
+        // plaintext into the pinned DMA arena, so plaintext never
+        // lands in shared memory. Seal order never matters: every IV
+        // is pre-drawn and every output slot is disjoint, so tags are
+        // bit-identical at any width and any completion order.
         std::vector<ChunkRecord> records;
         records.reserve(chunks);
         std::vector<const crypto::AesGcm *> ciphers;
@@ -417,10 +416,9 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
             pool.parallelFor(records.size(), width, [&](std::size_t i) {
                 ChunkRecord &rec = records[i];
                 std::uint64_t o = rec.addr - bounce;
-                std::memcpy(arena + o, data->data() + o, rec.length);
-                ciphers[i]->sealInPlace(rec.iv, arena + o, rec.length,
-                                        nullptr, 0, rec.tag.data(),
-                                        pool, inner);
+                ciphers[i]->seal(rec.iv, data->data() + o, arena + o,
+                                 rec.length, nullptr, 0, rec.tag.data(),
+                                 pool, inner);
             });
         }
         s_.h2dChunks.inc(chunks);
@@ -633,11 +631,12 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
         // epoch cache may fill), then parallel verify+decrypt, then
         // a serial commit in strict record order — stats, warnings,
         // and the failed list are identical at any thread count.
-        // Each record's ciphertext moves once from the pinned DMA
-        // arena into its final offset in the output buffer and is
-        // opened IN PLACE there (the modeled bounce->private copy).
-        // The claimed records are disjoint and inside the transfer
-        // (fetchForCollect), so no two lanes write the same bytes.
+        // Each record opens straight from the pinned DMA arena into
+        // its final offset in the output buffer (the modeled
+        // bounce->private copy), so every shared ciphertext byte is
+        // read once. The claimed records are disjoint and inside the
+        // transfer (fetchForCollect), so no two lanes write the same
+        // bytes.
         const std::uint8_t *arena =
             tvm_.memory().raw(st->bounceAddr, st->length);
         if (!arena)
@@ -666,12 +665,11 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
             const std::size_t i = pending[k];
             const ChunkRecord &rec = st->recs[i];
             std::uint64_t o = rec.addr - st->bounceAddr;
-            std::uint8_t *ct = st->out.data() + o;
-            std::memcpy(ct, arena + o, rec.length);
             okNow[i] = rec.tag.size() == crypto::kGcmTagSize &&
-                       ciphers[i]->openInPlace(rec.iv, ct, rec.length,
-                                               rec.tag.data(), nullptr,
-                                               0, pool, inner);
+                       ciphers[i]->open(rec.iv, arena + o,
+                                        st->out.data() + o, rec.length,
+                                        rec.tag.data(), nullptr, 0,
+                                        pool, inner);
         });
         for (std::size_t i : pending) {
             if (!okNow[i]) {

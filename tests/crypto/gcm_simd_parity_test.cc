@@ -1,13 +1,16 @@
 /**
  * @file
- * SIMD/table parity for AES-GCM: the runtime-dispatched AES-NI and
- * VAES kernels must be bit-exact replacements for the table-driven
- * portable path. Each hardware tier the CPU supports is forced via
- * the test override and run over the PR-1 known-answer corpus (NIST
- * SP 800-38D vectors plus the table-rewrite KAT pins), the in-place
- * data-plane entry points, and the segmented parallel seal; every
- * ciphertext and tag must match the table tier byte for byte, and
- * tiers must interoperate (seal under one, open under another).
+ * SIMD/table parity for AES-GCM: the stitched one-pass kernel must be
+ * a bit-exact replacement for the table-driven portable path at every
+ * width (128-bit AES-NI, 256-bit VAES, 512-bit VAES). Each hardware
+ * tier the CPU supports is forced via the test override and run over
+ * the known-answer corpus (NIST SP 800-38D vectors plus the
+ * table-rewrite KAT pins, and lengths at every width's stride edges),
+ * the in-place and out-of-place data-plane entry points, and the
+ * segmented parallel seal; every ciphertext and tag must match the
+ * table tier byte for byte, and tiers must interoperate (seal under
+ * one, open under another). The tier rule itself is table-tested as
+ * a pure function of the cpuid bits.
  *
  * The CCAI_NO_SIMD forced-fallback path is covered two ways: the
  * dispatch test below asserts the env var pins the tier to table
@@ -52,22 +55,16 @@ const Bytes kKatKey256 = fromHex("feffe9928665731c6d6a8f9467308308"
                                  "feffe9928665731c6d6a8f9467308308");
 const Bytes kKatIv = fromHex("cafebabefacedbaddecaf888");
 
-/** Can the forced tier's kernels actually run on this CPU? */
+/** Can the forced tier's kernel actually run on this CPU? Each tier
+ * needs everything the one below it needs. */
 bool
 tierSupported(SimdTier tier)
 {
-    const crypto::CpuFeatures &f = crypto::cpuFeatures();
-    bool base = f.aesni && f.pclmul && f.sse41 && f.ssse3;
-    switch (tier) {
-      case SimdTier::kNone:
-        return true;
-      case SimdTier::kAesniClmul:
-        return base;
-      case SimdTier::kVaes:
-        return base && f.vaes && f.avx2 && f.vpclmulqdq;
-    }
-    return false;
+    return tier <= crypto::selectSimdTier(crypto::cpuFeatures());
 }
+
+const SimdTier kAllTiers[] = {SimdTier::kNone, SimdTier::kAesniClmul,
+                              SimdTier::kVaes, SimdTier::kVaes512};
 
 /** RAII tier override; clears back to the cpuid probe on exit. */
 struct ForcedTier
@@ -82,12 +79,15 @@ struct ForcedTier
 /**
  * Seal the full corpus under @p tier and fold every ciphertext and
  * tag into one transcript. Corpus spans: empty pt/AAD, sub-block,
- * exactly-block, ragged multi-block, multi-batch (4 KiB+), and the
- * 64 KiB long-counter case — under both AES-128 and AES-256 — via
- * both seal() and the in-place data-plane entry point, plus the
- * segmented parallel seal at widths 2 and 4 for the larger sizes.
- * Every in-place seal is re-opened in place to check the verify
- * path under the same tier.
+ * exactly-block, ragged multi-block, the stitched kernel's stride
+ * edges (stride - 1, stride, stride + 1 and 2 * stride + 15 for the
+ * 128-byte stride of the 128-bit loop and the 256-byte stride of the
+ * 256- and 512-bit loops), multi-batch (4 KiB+), and the 64 KiB
+ * long-counter case — under both AES-128 and AES-256 — via seal(),
+ * the in-place entry point and the out-of-place one (distinct source
+ * and destination), plus the segmented parallel seal at widths 2 and
+ * 4 for the larger sizes. Every sealed case is re-opened in place and
+ * out of place to check the verify path under the same tier.
  */
 Bytes
 corpusTranscript(SimdTier tier)
@@ -104,9 +104,10 @@ corpusTranscript(SimdTier tier)
         size_t aadLen;
     };
     const Case kCases[] = {
-        {0, 0},    {0, 40},    {1, 0},     {15, 3},   {16, 0},
-        {17, 37},  {33, 64},   {47, 37},   {255, 20}, {256, 0},
-        {1000, 5}, {4096, 0},  {4101, 48}, {65536, 0},
+        {0, 0},     {0, 40},    {1, 0},     {15, 3},    {16, 0},
+        {17, 37},   {33, 64},   {47, 37},   {127, 0},   {128, 13},
+        {129, 0},   {255, 20},  {256, 0},   {257, 16},  {271, 5},
+        {527, 0},   {1000, 5},  {4096, 0},  {4101, 48}, {65536, 0},
     };
 
     crypto::WorkerPool &pool = crypto::WorkerPool::shared();
@@ -117,6 +118,8 @@ corpusTranscript(SimdTier tier)
         int caseNo = 0;
         for (const Case &c : kCases) {
             ++caseNo;
+            SCOPED_TRACE("pt " + std::to_string(c.ptLen) + ", key " +
+                         std::to_string(keyNo));
             auto seedOf = [&](int salt) {
                 return static_cast<std::uint8_t>(keyNo * 50 +
                                                  caseNo * 3 + salt);
@@ -132,26 +135,45 @@ corpusTranscript(SimdTier tier)
             std::uint8_t tag[crypto::kGcmTagSize];
             gcm.sealInPlace(kKatIv, buf.data(), buf.size(),
                             aad.data(), aad.size(), tag);
-            EXPECT_EQ(buf, sealed.ciphertext)
-                << "in-place seal diverged, pt " << c.ptLen;
+            EXPECT_EQ(buf, sealed.ciphertext) << "in-place seal";
             fold(buf);
             fold(Bytes(tag, tag + sizeof(tag)));
+
+            Bytes dst(pt.size(), 0xA5);
+            std::uint8_t outTag[crypto::kGcmTagSize];
+            gcm.seal(kKatIv, pt.data(), dst.data(), pt.size(),
+                     aad.data(), aad.size(), outTag);
+            EXPECT_EQ(dst, sealed.ciphertext) << "out-of-place seal";
+            fold(Bytes(outTag, outTag + sizeof(outTag)));
+
+            Bytes opened(pt.size(), 0x5A);
+            EXPECT_TRUE(gcm.open(kKatIv, buf.data(), opened.data(),
+                                 buf.size(), tag, aad.data(),
+                                 aad.size()));
+            EXPECT_EQ(opened, pt) << "out-of-place open";
             EXPECT_TRUE(gcm.openInPlace(kKatIv, buf.data(),
                                         buf.size(), tag, aad.data(),
-                                        aad.size()))
-                << "pt " << c.ptLen;
-            EXPECT_EQ(buf, pt) << "pt " << c.ptLen;
+                                        aad.size()));
+            EXPECT_EQ(buf, pt) << "in-place open";
 
             if (c.ptLen >= 256) {
                 for (int width : {2, 4}) {
                     Bytes seg = pt;
                     std::uint8_t segTag[crypto::kGcmTagSize];
-                    gcm.sealInPlace(kKatIv, seg.data(), seg.size(),
-                                    aad.data(), aad.size(), segTag,
-                                    pool, width);
+                    gcm.seal(kKatIv, seg.data(), seg.data(),
+                             seg.size(), aad.data(), aad.size(), segTag,
+                             pool, width);
                     EXPECT_EQ(seg, sealed.ciphertext)
                         << "segmented seal, width " << width;
                     fold(Bytes(segTag, segTag + sizeof(segTag)));
+
+                    Bytes segOut(pt.size(), 0x3C);
+                    EXPECT_TRUE(gcm.open(kKatIv, seg.data(),
+                                         segOut.data(), seg.size(),
+                                         segTag, aad.data(), aad.size(),
+                                         pool, width));
+                    EXPECT_EQ(segOut, pt)
+                        << "segmented open, width " << width;
                 }
             }
         }
@@ -181,13 +203,22 @@ TEST(GcmSimdParity, VaesMatchesTable)
     EXPECT_EQ(table, simd);
 }
 
+TEST(GcmSimdParity, Vaes512MatchesTable)
+{
+    if (!tierSupported(SimdTier::kVaes512))
+        GTEST_SKIP() << "CPU or OS lacks AVX-512 VAES/VPCLMULQDQ";
+    Bytes table = corpusTranscript(SimdTier::kNone);
+    Bytes simd = corpusTranscript(SimdTier::kVaes512);
+    ASSERT_EQ(table.size(), simd.size());
+    EXPECT_EQ(table, simd);
+}
+
 // The SIMD kernels must hit the spec, not merely agree with the
 // table path: pin the NIST SP 800-38D vectors under every tier the
 // CPU can run.
 TEST(GcmSimdParity, NistVectorsUnderEveryRunnableTier)
 {
-    for (SimdTier tier : {SimdTier::kNone, SimdTier::kAesniClmul,
-                          SimdTier::kVaes}) {
+    for (SimdTier tier : kAllTiers) {
         if (!tierSupported(tier))
             continue;
         SCOPED_TRACE(crypto::simdTierName(tier));
@@ -240,10 +271,10 @@ TEST(GcmSimdParity, TiersInteroperate)
     Bytes pt = rng.bytes(4097);
     Bytes aad = rng.bytes(29);
 
-    for (SimdTier sealTier :
-         {SimdTier::kNone, SimdTier::kAesniClmul}) {
-        for (SimdTier openTier :
-             {SimdTier::kAesniClmul, SimdTier::kNone}) {
+    for (SimdTier sealTier : kAllTiers) {
+        for (SimdTier openTier : kAllTiers) {
+            if (!tierSupported(sealTier) || !tierSupported(openTier))
+                continue;
             crypto::overrideSimdTierForTest(
                 static_cast<int>(sealTier));
             AesGcm sealer(key);
@@ -292,6 +323,68 @@ TEST(GcmSimdDispatch, EnvVarForcesTableTier)
         gcm.open(kKatIv, sealed.ciphertext, sealed.tag).has_value());
 }
 
+// The tier rule is a pure function of the cpuid bits, so the cases
+// no CI machine has are checked here rather than on hardware.
+TEST(GcmSimdDispatch, TierFollowsCpuidTable)
+{
+    crypto::CpuFeatures full;
+    full.ssse3 = full.sse41 = full.aesni = full.pclmul = true;
+    full.avx2 = full.vaes = full.vpclmulqdq = true;
+    full.avx512f = full.avx512bw = full.avx512vl = true;
+    full.zmmState = true;
+
+    struct Row
+    {
+        const char *what;
+        void (*edit)(crypto::CpuFeatures &);
+        SimdTier expect;
+    };
+    const Row kRows[] = {
+        {"everything", [](crypto::CpuFeatures &) {},
+         SimdTier::kVaes512},
+        {"no AES-NI", [](crypto::CpuFeatures &f) { f.aesni = false; },
+         SimdTier::kNone},
+        {"no PCLMULQDQ",
+         [](crypto::CpuFeatures &f) { f.pclmul = false; },
+         SimdTier::kNone},
+        {"no SSE4.1", [](crypto::CpuFeatures &f) { f.sse41 = false; },
+         SimdTier::kNone},
+        {"VAES without VPCLMULQDQ",
+         [](crypto::CpuFeatures &f) { f.vpclmulqdq = false; },
+         SimdTier::kAesniClmul},
+        {"VAES without AVX2",
+         [](crypto::CpuFeatures &f) { f.avx2 = false; },
+         SimdTier::kAesniClmul},
+        {"no VAES", [](crypto::CpuFeatures &f) { f.vaes = false; },
+         SimdTier::kAesniClmul},
+        {"AVX-512 without ZMM state",
+         [](crypto::CpuFeatures &f) { f.zmmState = false; },
+         SimdTier::kVaes},
+        {"no AVX-512BW",
+         [](crypto::CpuFeatures &f) { f.avx512bw = false; },
+         SimdTier::kVaes},
+        {"no AVX-512VL",
+         [](crypto::CpuFeatures &f) { f.avx512vl = false; },
+         SimdTier::kVaes},
+        {"no AVX-512F",
+         [](crypto::CpuFeatures &f) { f.avx512f = false; },
+         SimdTier::kVaes},
+        {"AVX2 machine without VAES (AVX-512 bits set)",
+         [](crypto::CpuFeatures &f) {
+             f.vaes = false;
+             f.vpclmulqdq = false;
+         },
+         SimdTier::kAesniClmul},
+    };
+    for (const Row &row : kRows) {
+        crypto::CpuFeatures f = full;
+        row.edit(f);
+        EXPECT_EQ(crypto::selectSimdTier(f), row.expect) << row.what;
+    }
+    EXPECT_EQ(crypto::selectSimdTier(crypto::CpuFeatures{}),
+              SimdTier::kNone);
+}
+
 TEST(GcmSimdDispatch, OverrideClearsBackToProbe)
 {
     crypto::overrideSimdTierForTest(-1);
@@ -302,4 +395,5 @@ TEST(GcmSimdDispatch, OverrideClearsBackToProbe)
     }
     EXPECT_EQ(crypto::simdTier(), probed);
     EXPECT_STREQ(crypto::simdTierName(SimdTier::kNone), "table");
+    EXPECT_STREQ(crypto::simdTierName(SimdTier::kVaes512), "vaes512");
 }

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "common/bytes_util.hh"
+#include "crypto/cpu_features.hh"
 #include "crypto/gcm.hh"
 #include "crypto/sha256.hh"
+#include "crypto/worker_pool.hh"
 #include "sim/rng.hh"
 
 using namespace ccai;
@@ -335,21 +340,70 @@ TEST(AesGcmInPlace, MatchesByValueSeal)
     }
 }
 
+// A failed open releases no plaintext: the one-pass kernel decrypts
+// before the tag is known, so on a mismatch it must crypt the
+// destination back to exactly the ciphertext — in place, out of
+// place and in the parallel open — at every tier and at sizes below
+// and above every stitched stride.
 TEST(AesGcmInPlace, TamperLeavesCiphertextUntouched)
 {
-    sim::Rng rng(21);
-    AesGcm gcm(rng.bytes(16));
-    Bytes iv = rng.bytes(12);
-    Bytes buf = rng.bytes(64);
-    std::uint8_t tag[crypto::kGcmTagSize];
-    gcm.sealInPlace(iv, buf.data(), buf.size(), nullptr, 0, tag);
+    const crypto::SimdTier best =
+        crypto::selectSimdTier(crypto::cpuFeatures());
+    crypto::WorkerPool pool(4);
+    for (int tier = 0; tier <= static_cast<int>(best); ++tier) {
+        crypto::overrideSimdTierForTest(tier);
+        for (size_t len : {size_t{64}, size_t{4096 + 17},
+                           size_t{256 * 1024}}) {
+            sim::Rng rng(21 + len);
+            AesGcm gcm(rng.bytes(16));
+            Bytes iv = rng.bytes(12);
+            Bytes plain = rng.bytes(len);
+            Bytes sealedCt = plain;
+            std::uint8_t goodTag[crypto::kGcmTagSize];
+            gcm.sealInPlace(iv, sealedCt.data(), sealedCt.size(),
+                            nullptr, 0, goodTag);
 
-    Bytes ciphertext = buf;
-    tag[3] ^= 0x10;
-    EXPECT_FALSE(gcm.openInPlace(iv, buf.data(), buf.size(), tag,
-                                 nullptr, 0));
-    // Failed open must not half-decrypt the buffer.
-    EXPECT_EQ(buf, ciphertext);
+            for (bool flipTag : {true, false}) {
+                SCOPED_TRACE(std::string(crypto::simdTierName(
+                                 static_cast<crypto::SimdTier>(tier))) +
+                             ", len " + std::to_string(len) +
+                             (flipTag ? ", tag bit" : ", ciphertext bit"));
+                Bytes ciphertext = sealedCt;
+                std::uint8_t tag[crypto::kGcmTagSize];
+                std::memcpy(tag, goodTag, sizeof(tag));
+                if (flipTag)
+                    tag[3] ^= 0x10;
+                else
+                    ciphertext[len / 2] ^= 0x04;
+
+                Bytes buf = ciphertext;
+                EXPECT_FALSE(gcm.openInPlace(iv, buf.data(), buf.size(),
+                                             tag, nullptr, 0));
+                EXPECT_EQ(buf, ciphertext) << "in place";
+
+                Bytes dst(len, 0xEE);
+                EXPECT_FALSE(gcm.open(iv, ciphertext.data(), dst.data(),
+                                      len, tag, nullptr, 0));
+                EXPECT_EQ(dst, ciphertext) << "out of place";
+
+                for (int width : {2, 4}) {
+                    Bytes par = ciphertext;
+                    EXPECT_FALSE(gcm.open(iv, par.data(), par.data(),
+                                          len, tag, nullptr, 0, pool,
+                                          width));
+                    EXPECT_EQ(par, ciphertext)
+                        << "parallel in place, width " << width;
+                    Bytes parDst(len, 0xEE);
+                    EXPECT_FALSE(gcm.open(iv, ciphertext.data(),
+                                          parDst.data(), len, tag,
+                                          nullptr, 0, pool, width));
+                    EXPECT_EQ(parDst, ciphertext)
+                        << "parallel out of place, width " << width;
+                }
+            }
+        }
+    }
+    crypto::overrideSimdTierForTest(-1);
 }
 
 // Property sweep: every payload size from 1 to 64 round-trips.

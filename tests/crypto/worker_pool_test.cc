@@ -116,17 +116,17 @@ checkEquivalence(size_t len, bool withAad)
     for (int width : {2, 3, 5, 8}) {
         Bytes par = plain;
         Bytes parTag(crypto::kGcmTagSize);
-        gcm.sealInPlace(iv, par.data(), par.size(), aad.data(),
-                        aad.size(), parTag.data(), pool, width);
+        gcm.seal(iv, par.data(), par.data(), par.size(), aad.data(),
+                 aad.size(), parTag.data(), pool, width);
         ASSERT_EQ(par, serial) << "len " << len << " width " << width;
         ASSERT_EQ(parTag, serialTag)
             << "len " << len << " width " << width;
 
         // Parallel open recovers the plaintext and accepts the tag.
         Bytes back = par;
-        ASSERT_TRUE(gcm.openInPlace(iv, back.data(), back.size(),
-                                    parTag.data(), aad.data(),
-                                    aad.size(), pool, width));
+        ASSERT_TRUE(gcm.open(iv, back.data(), back.data(), back.size(),
+                             parTag.data(), aad.data(), aad.size(), pool,
+                             width));
         ASSERT_EQ(back, plain);
     }
 }
@@ -161,9 +161,8 @@ TEST(ParallelGcm, TamperDetectedAtAnyWidth)
         Bytes tampered = ct;
         tampered[tampered.size() / 2] ^= 0x40;
         Bytes work = tampered;
-        EXPECT_FALSE(gcm.openInPlace(iv, work.data(), work.size(),
-                                     tag.data(), nullptr, 0, pool,
-                                     width));
+        EXPECT_FALSE(gcm.open(iv, work.data(), work.data(), work.size(),
+                              tag.data(), nullptr, 0, pool, width));
         // Failed open leaves the buffer as ciphertext.
         EXPECT_EQ(work, tampered);
     }
@@ -183,8 +182,8 @@ TEST(ParallelGcm, MatchesWholeBufferSealApi)
     WorkerPool pool(4);
     Bytes par = plain;
     Bytes parTag(crypto::kGcmTagSize);
-    gcm.sealInPlace(iv, par.data(), par.size(), nullptr, 0,
-                    parTag.data(), pool, 8);
+    gcm.seal(iv, par.data(), par.data(), par.size(), nullptr, 0,
+             parTag.data(), pool, 8);
     EXPECT_EQ(par, sealed.ciphertext);
     EXPECT_EQ(parTag, sealed.tag);
 }

@@ -288,6 +288,46 @@ TEST(RootComplex, ReadCompletionMatching)
     EXPECT_EQ(rc.stats().counterHandle("completions").value(), 1u);
 }
 
+// A device that never answers holds every read tag for the whole
+// retry budget. The 257th outstanding read finds no free tag: it must
+// fail closed with an abort, delivered from the event queue and
+// counted, not take down the simulator.
+TEST(RootComplex, TagExhaustionAbortsTheRead)
+{
+    sim::System sys;
+    HostMemory mem;
+    RootComplex rc(sys, "rc", mem);
+    SinkNode silent("silent");
+    Link down(sys, "down", LinkConfig{});
+    down.connect(&rc, &silent);
+    rc.connectDownstream(&down);
+
+    std::vector<CplStatus> got;
+    for (int i = 0; i < 256; ++i)
+        rc.sendRead(Tlp::makeMemRead(wellknown::kTvm, 0xe0000000, 8, 0),
+                    [&](const TlpPtr &cpl) {
+                        got.push_back(cpl->cplStatus);
+                    });
+    bool aborted = false;
+    rc.sendRead(Tlp::makeMemRead(wellknown::kTvm, 0xe0000000, 8, 0),
+                [&](const TlpPtr &cpl) {
+                    aborted = cpl->cplStatus == CplStatus::CompleterAbort;
+                });
+    EXPECT_FALSE(aborted) << "the abort runs from the event queue";
+    EXPECT_EQ(rc.stats().counterHandle("tag_exhausted").value(), 1u);
+    EXPECT_EQ(rc.stats().counterHandle("reads_sent").value(), 256u);
+
+    sys.eventq().runUntil(0);
+    EXPECT_TRUE(aborted);
+    EXPECT_TRUE(got.empty());
+
+    // The first 256 still run out their retry budget and abort.
+    sys.run();
+    ASSERT_EQ(got.size(), 256u);
+    for (CplStatus st : got)
+        EXPECT_EQ(st, CplStatus::CompleterAbort);
+}
+
 TEST(RootComplex, DeviceDmaWriteHitsHostMemory)
 {
     sim::System sys;

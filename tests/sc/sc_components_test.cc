@@ -396,6 +396,40 @@ TEST(EnvGuard, ConstrainedRegisterEnforced)
     EXPECT_EQ(guard.violations(), 1u);
 }
 
+// The device latches 0 for a synthetic (length-only) MMIO write, so
+// the guard must check 0 against the constraint instead of passing
+// the write unchecked: a page-table root of 0 lies outside the window.
+TEST(EnvGuard, SyntheticWriteToConstrainedRegisterIsChecked)
+{
+    EnvGuard guard;
+    guard.addConstraint({mm::xpureg::kPageTableBase, 0x1000, 0x2000});
+    Tlp tlp = Tlp::makeMemWriteSynthetic(
+        wellknown::kTvm, mm::kXpuMmio.base + mm::xpureg::kPageTableBase,
+        8);
+    EXPECT_FALSE(guard.checkMmioWrite(tlp));
+    EXPECT_EQ(guard.violations(), 1u);
+
+    // A register whose range admits 0 still takes the write.
+    EnvGuard lenient;
+    lenient.addConstraint({mm::xpureg::kPageTableBase, 0, 0x2000});
+    EXPECT_TRUE(lenient.checkMmioWrite(tlp));
+    EXPECT_EQ(lenient.violations(), 0u);
+}
+
+// A write shorter than 8 bytes also latches 0 on the device.
+TEST(EnvGuard, ShortWriteToConstrainedRegisterIsChecked)
+{
+    EnvGuard guard;
+    guard.addConstraint({mm::xpureg::kPageTableBase, 0x1000, 0x2000});
+    // 0x1800 in the low four bytes: in range if the guard read it, but
+    // the device latches 0.
+    Tlp tlp = Tlp::makeMemWrite(
+        wellknown::kTvm, mm::kXpuMmio.base + mm::xpureg::kPageTableBase,
+        Bytes{0x00, 0x18, 0x00, 0x00});
+    EXPECT_FALSE(guard.checkMmioWrite(tlp));
+    EXPECT_EQ(guard.violations(), 1u);
+}
+
 TEST(EnvGuard, UnconstrainedRegistersPass)
 {
     EnvGuard guard;

@@ -321,25 +321,36 @@ Platform::establishTrust()
     crypto::AesGcm flash_key(flash_secret);
     crypto::Drbg drbg(rng_.bytes(32), "platform-flash");
 
+    // The release's PCIe-SC images, in boot order.
+    struct ReleaseImage
+    {
+        const char *name;
+        size_t pcr;
+        Bytes image;
+    };
+    const ReleaseImage release[] = {
+        {"pcie-sc.packet-filter", trust::pcridx::kScBitstream,
+         rng_.bytes(4096)},
+        {"pcie-sc.packet-handlers", trust::pcridx::kScBitstream,
+         rng_.bytes(8192)},
+        {"pcie-sc.firmware", trust::pcridx::kScFirmware,
+         rng_.bytes(2048)},
+    };
     trust::ExternalFlash flash;
-    Bytes filter_image = rng_.bytes(4096);
-    Bytes handler_image = rng_.bytes(8192);
-    Bytes firmware_image = rng_.bytes(2048);
-    flash.store("pcie-sc.packet-filter", trust::pcridx::kScBitstream,
-                filter_image, flash_key, drbg);
-    flash.store("pcie-sc.packet-handlers", trust::pcridx::kScBitstream,
-                handler_image, flash_key, drbg);
-    flash.store("pcie-sc.firmware", trust::pcridx::kScFirmware,
-                firmware_image, flash_key, drbg);
+    for (const ReleaseImage &img : release)
+        flash.store(img.name, img.pcr, img.image, flash_key, drbg);
 
     TrustSpan secure_boot_span(sys_, trust_track, "secure_boot");
     trust::SecureBoot boot(*blade_, flash_key);
-    boot.addGoldenDigest("pcie-sc.packet-filter",
-                         crypto::Sha256::digest(filter_image));
-    boot.addGoldenDigest("pcie-sc.packet-handlers",
-                         crypto::Sha256::digest(handler_image));
-    boot.addGoldenDigest("pcie-sc.firmware",
-                         crypto::Sha256::digest(firmware_image));
+    // The verifier's goldens replay the release's measurements on
+    // fresh banks; they are never read back from the HRoTs under
+    // attestation.
+    goldens_ = {};
+    for (const ReleaseImage &img : release) {
+        Bytes digest = crypto::Sha256::digest(img.image);
+        boot.addGoldenDigest(img.name, digest);
+        goldens_.blade.extend(img.pcr, digest, img.name);
+    }
     trust::BootResult boot_result = boot.boot(flash);
     report.secureBootOk = boot_result.success;
     if (!boot_result.success) {
@@ -349,14 +360,16 @@ Platform::establishTrust()
 
     // ---- TVM-side measurements (kernel + Adaptor + trust mods) ----
     TrustSpan measurements_span(sys_, trust_track, "tvm_measurements");
-    cpuHrot_->pcrs().extend(trust::pcridx::kTvmImage,
-                            crypto::Sha256::digest(std::string(
-                                "tvm-kernel+ccai_adaptor")),
-                            "tvm-image");
-    cpuHrot_->pcrs().extend(trust::pcridx::kCpuFirmware,
-                            crypto::Sha256::digest(std::string(
-                                "cpu-firmware")),
-                            "cpu-firmware");
+    auto measure_tvm = [this](size_t pcr, const char *image,
+                              const char *what) {
+        Bytes digest = crypto::Sha256::digest(std::string(image));
+        cpuHrot_->pcrs().extend(pcr, digest, what);
+        goldens_.cpuHrot.extend(pcr, digest, what);
+    };
+    measure_tvm(trust::pcridx::kTvmImage, "tvm-kernel+ccai_adaptor",
+                "tvm-image");
+    measure_tvm(trust::pcridx::kCpuFirmware, "cpu-firmware",
+                "cpu-firmware");
 
     // ---- Chassis sealing ----
     TrustSpan sealing_span(sys_, trust_track, "chassis_sealing");
@@ -373,42 +386,10 @@ Platform::establishTrust()
 
     // ---- Remote attestation (Figure 6) ----
     TrustSpan attestation_span(sys_, trust_track, "attestation");
-    trust::AttestationResponder responder(*cpuHrot_, *blade_, rng_);
-    trust::AttestationVerifier verifier(*ca_, rng_);
-
-    std::vector<size_t> selection = {
-        trust::pcridx::kCpuFirmware, trust::pcridx::kTvmImage,
-        trust::pcridx::kScBitstream, trust::pcridx::kScFirmware,
-    };
-    // The verifier knows the golden PCR values for this release.
-    for (size_t idx : selection) {
-        verifier.expectPcr(idx, blade_->pcrs().value(idx));
-    }
-    // CPU-side registers differ; trust the CPU quote's signature
-    // chain plus the TVM image golden value.
-    verifier.expectPcr(trust::pcridx::kTvmImage,
-                       cpuHrot_->pcrs().value(trust::pcridx::kTvmImage));
-
-    trust::Challenge challenge = verifier.makeChallenge(0, selection);
-    trust::AttestationReport att = responder.respond(challenge);
-
-    // The blade and CPU quotes share nonce/selection but have
-    // different PCR values; validate signatures/nonce on both and
-    // PCR values against the blade's goldens.
-    trust::VerifyResult vr =
-        verifier.verifyReport(att, challenge, responder);
-    // The CPU HRoT's bitstream PCRs are unset; accept its quote on
-    // signature+nonce only by re-checking just the blade values.
+    trust::VerifyResult vr = attest(0);
     if (!vr.ok) {
-        // Distinguish signature failures from CPU-PCR mismatches.
-        bool blade_ok = trust::HrotBlade::verifyQuote(
-            att.bladeQuote, responder.bladeAkCert().publicKey);
-        bool cpu_ok = trust::HrotBlade::verifyQuote(
-            att.cpuQuote, responder.cpuAkCert().publicKey);
-        if (!blade_ok || !cpu_ok) {
-            report.failure = "attestation: " + vr.reason;
-            return report;
-        }
+        report.failure = "attestation: " + vr.reason;
+        return report;
     }
     report.attestationOk = true;
 
@@ -438,6 +419,21 @@ Platform::establishTrust()
     recovery_->registerTenant(0, kTvm.raw());
 
     return report;
+}
+
+trust::VerifyResult
+Platform::attest(std::uint32_t keyId)
+{
+    // Both quotes must chain to the Root CA, answer this round's
+    // nonce and carry the release's golden PCRs, each HRoT its own.
+    trust::AttestationResponder responder(*cpuHrot_, *blade_, rng_);
+    trust::AttestationVerifier verifier(*ca_, rng_);
+    verifier.expectGoldens(goldens_);
+    trust::Challenge challenge = verifier.makeChallenge(
+        keyId, {trust::pcridx::kCpuFirmware, trust::pcridx::kTvmImage,
+                trust::pcridx::kScBitstream, trust::pcridx::kScFirmware});
+    return verifier.verifyReport(responder.respond(challenge), challenge,
+                                 responder);
 }
 
 pcie::AddrRange
@@ -589,35 +585,10 @@ Platform::reattestTenant(std::uint32_t slot)
 
     // Fresh attestation round (Figure 6, re-run): a crashed and
     // rebooted blade carries a new AK, so nothing from the previous
-    // session may be trusted until a new quote verifies against the
-    // current PCR values.
-    trust::AttestationResponder responder(*cpuHrot_, *blade_, rng_);
-    trust::AttestationVerifier verifier(*ca_, rng_);
-    std::vector<size_t> selection = {
-        trust::pcridx::kCpuFirmware, trust::pcridx::kTvmImage,
-        trust::pcridx::kScBitstream, trust::pcridx::kScFirmware,
-    };
-    for (size_t idx : selection)
-        verifier.expectPcr(idx, blade_->pcrs().value(idx));
-    verifier.expectPcr(
-        trust::pcridx::kTvmImage,
-        cpuHrot_->pcrs().value(trust::pcridx::kTvmImage));
-
-    trust::Challenge challenge = verifier.makeChallenge(slot, selection);
-    trust::AttestationReport att = responder.respond(challenge);
-    trust::VerifyResult vr =
-        verifier.verifyReport(att, challenge, responder);
-    if (!vr.ok) {
-        // As in establishTrust: the CPU HRoT's bitstream PCRs are
-        // unset, so accept signature+nonce-valid quotes whose only
-        // mismatch is the CPU-side PCR values.
-        bool blade_ok = trust::HrotBlade::verifyQuote(
-            att.bladeQuote, responder.bladeAkCert().publicKey);
-        bool cpu_ok = trust::HrotBlade::verifyQuote(
-            att.cpuQuote, responder.cpuAkCert().publicKey);
-        if (!blade_ok || !cpu_ok)
-            return false;
-    }
+    // session may be trusted until new quotes verify against the
+    // release's golden PCRs.
+    if (!attest(slot).ok)
+        return false;
 
     // Fresh DHKE -> new workload keys on both ends. The Adaptor
     // destroyed the old epoch's keys in abortSession(); the SC's are

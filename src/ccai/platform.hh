@@ -197,9 +197,9 @@ class Platform
     /**
      * Re-run remote attestation and session-key negotiation for one
      * tenant slot (0 = owner): a fresh challenge/quote round against
-     * the blade's current PCRs and AK, a fresh DHKE, new workload
-     * keys on both ends (the old epoch's keys are destroyed), policy
-     * re-install and hw_init. This is the RecoveryManager's
+     * the release's golden PCRs and the HRoTs' current AKs, a fresh
+     * DHKE, new workload keys on both ends (the old epoch's keys are
+     * destroyed), policy re-install and hw_init. This is the RecoveryManager's
      * re-attestation hook, public so tests can drive it directly.
      */
     bool reattestTenant(std::uint32_t slot);
@@ -255,6 +255,8 @@ class Platform
                                 std::uint32_t slot) const;
     void installPolicyForAllTenants();
     void installRecoveryHooks();
+    /** One remote-attestation round (Figure 6) against goldens_. */
+    trust::VerifyResult attest(std::uint32_t keyId);
     /** First non-quarantined Adaptor, the watchdog's probe vehicle
      * (quarantined requester IDs are filtered by the SC and could
      * never see a probe reply). nullptr when all slots are gone. */
@@ -291,6 +293,8 @@ class Platform
     std::unique_ptr<trust::RootCa> ca_;
     std::unique_ptr<trust::HrotBlade> cpuHrot_;
     std::unique_ptr<trust::HrotBlade> blade_;
+    /** The release's golden PCRs, derived once by establishTrust(). */
+    trust::PcrGoldens goldens_;
     std::unique_ptr<trust::ChassisSealing> sealing_;
     std::unique_ptr<RecoveryManager> recovery_;
 

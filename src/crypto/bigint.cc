@@ -1,6 +1,7 @@
 #include "bigint.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bytes_util.hh"
 #include "common/logging.hh"
@@ -8,39 +9,88 @@
 namespace ccai::crypto
 {
 
-BigInt::BigInt(std::uint64_t v)
+namespace
 {
-    while (v) {
-        limbs_.push_back(static_cast<std::uint32_t>(v));
-        v >>= 32;
+
+using Limbs = std::array<std::uint64_t, 4>;
+using Wide = std::array<std::uint64_t, 8>; ///< a 512-bit intermediate
+using u128 = unsigned __int128;
+
+/** r += k; returns the carry out of 2^256. */
+std::uint64_t
+addSmall(Limbs &r, u128 k)
+{
+    for (auto &limb : r) {
+        k += limb;
+        limb = static_cast<std::uint64_t>(k);
+        k >>= 64;
     }
+    return static_cast<std::uint64_t>(k);
 }
 
-void
-BigInt::trim()
+/**
+ * x mod m for m = 2^256 - c. Since 2^256 = c (mod m), the high half
+ * folds down as hi * c; two folds leave a value below 2^256, and one
+ * conditional subtraction of m finishes.
+ */
+Limbs
+fold(const Wide &x, const Limbs &m)
 {
-    while (!limbs_.empty() && limbs_.back() == 0)
-        limbs_.pop_back();
+    ccai_assert(m[0] != 0 && m[1] == ~0ull && m[2] == ~0ull &&
+                m[3] == ~0ull);
+    const std::uint64_t c = ~m[0] + 1;
+
+    // lo + hi * c: a 320-bit sum whose fifth limb is left in acc.
+    Limbs r;
+    u128 acc = 0;
+    for (size_t i = 0; i < 4; ++i) {
+        acc += u128(x[i + 4]) * c + x[i];
+        r[i] = static_cast<std::uint64_t>(acc);
+        acc >>= 64;
+    }
+    // Fold that limb the same way. A carry out of 2^256 leaves r below
+    // 2^128, so folding the carry (one more c) cannot carry again.
+    std::uint64_t carry = addSmall(r, acc * c);
+    addSmall(r, u128(carry) * c);
+    // r >= m exactly when r + c carries out of 2^256, and then
+    // r - m = r + c - 2^256.
+    Limbs s = r;
+    return addSmall(s, c) ? s : r;
 }
+
+/** Schoolbook 256 x 256 -> 512-bit product. */
+Wide
+mulWide(const Limbs &a, const Limbs &b)
+{
+    Wide t{};
+    for (size_t i = 0; i < 4; ++i) {
+        u128 acc = 0;
+        for (size_t j = 0; j < 4; ++j) {
+            acc += u128(a[i]) * b[j] + t[i + j];
+            t[i + j] = static_cast<std::uint64_t>(acc);
+            acc >>= 64;
+        }
+        t[i + 4] = static_cast<std::uint64_t>(acc);
+    }
+    return t;
+}
+
+} // namespace
 
 BigInt
 BigInt::fromBytes(const Bytes &be)
 {
+    size_t lead = 0;
+    while (lead < be.size() && be[lead] == 0)
+        ++lead;
+    const size_t n = be.size() - lead;
+    if (n > 32)
+        fatal("BigInt::fromBytes: %zu significant bytes exceed 256 bits",
+              n);
     BigInt out;
-    for (std::uint8_t b : be) {
-        // out = out * 256 + b
-        std::uint64_t carry = b;
-        for (auto &limb : out.limbs_) {
-            std::uint64_t v = (std::uint64_t(limb) << 8) | carry;
-            limb = static_cast<std::uint32_t>(v);
-            carry = v >> 32;
-        }
-        while (carry) {
-            out.limbs_.push_back(static_cast<std::uint32_t>(carry));
-            carry >>= 32;
-        }
-    }
-    out.trim();
+    for (size_t i = 0; i < n; ++i) // i-th byte from the least significant
+        out.limbs_[i / 8] |= std::uint64_t(be[be.size() - 1 - i])
+                             << (8 * (i % 8));
     return out;
 }
 
@@ -56,21 +106,11 @@ BigInt::fromHexString(const std::string &hex)
 Bytes
 BigInt::toBytes(size_t pad_to) const
 {
-    Bytes out;
-    for (size_t i = 0; i < limbs_.size(); ++i) {
-        std::uint32_t limb = limbs_[i];
-        for (int j = 0; j < 4; ++j) {
-            out.push_back(static_cast<std::uint8_t>(limb));
-            limb >>= 8;
-        }
-    }
-    while (!out.empty() && out.back() == 0)
-        out.pop_back();
-    while (out.size() < pad_to)
-        out.push_back(0);
-    std::reverse(out.begin(), out.end());
-    if (out.empty() && pad_to == 0)
-        out.push_back(0);
+    const size_t n = (bitLength() + 7) / 8;
+    Bytes out(std::max({n, pad_to, size_t(1)}), 0);
+    for (size_t i = 0; i < n; ++i)
+        out[out.size() - 1 - i] =
+            static_cast<std::uint8_t>(limbs_[i / 8] >> (8 * (i % 8)));
     return out;
 }
 
@@ -83,155 +123,65 @@ BigInt::toHexString() const
 size_t
 BigInt::bitLength() const
 {
-    if (limbs_.empty())
-        return 0;
-    std::uint32_t top = limbs_.back();
-    size_t bits = (limbs_.size() - 1) * 32;
-    while (top) {
-        ++bits;
-        top >>= 1;
-    }
-    return bits;
-}
-
-bool
-BigInt::bit(size_t i) const
-{
-    size_t limb = i / 32;
-    if (limb >= limbs_.size())
-        return false;
-    return (limbs_[limb] >> (i % 32)) & 1;
-}
-
-int
-BigInt::cmp(const BigInt &o) const
-{
-    if (limbs_.size() != o.limbs_.size())
-        return limbs_.size() < o.limbs_.size() ? -1 : 1;
     for (size_t i = limbs_.size(); i-- > 0;) {
-        if (limbs_[i] != o.limbs_[i])
-            return limbs_[i] < o.limbs_[i] ? -1 : 1;
+        if (limbs_[i])
+            return 64 * i + std::bit_width(limbs_[i]);
     }
     return 0;
 }
 
-BigInt
-BigInt::operator+(const BigInt &o) const
+std::strong_ordering
+BigInt::operator<=>(const BigInt &o) const
 {
-    BigInt out;
-    size_t n = std::max(limbs_.size(), o.limbs_.size());
-    out.limbs_.resize(n, 0);
-    std::uint64_t carry = 0;
-    for (size_t i = 0; i < n; ++i) {
-        std::uint64_t v = carry;
-        if (i < limbs_.size())
-            v += limbs_[i];
-        if (i < o.limbs_.size())
-            v += o.limbs_[i];
-        out.limbs_[i] = static_cast<std::uint32_t>(v);
-        carry = v >> 32;
+    for (size_t i = limbs_.size(); i-- > 0;) {
+        if (limbs_[i] != o.limbs_[i])
+            return limbs_[i] <=> o.limbs_[i];
     }
-    if (carry)
-        out.limbs_.push_back(static_cast<std::uint32_t>(carry));
-    return out;
+    return std::strong_ordering::equal;
 }
 
 BigInt
-BigInt::operator-(const BigInt &o) const
+BigInt::mod(const BigInt &m) const
 {
-    ccai_assert(*this >= o);
+    Wide x{};
+    std::copy(limbs_.begin(), limbs_.end(), x.begin());
     BigInt out;
-    out.limbs_.resize(limbs_.size(), 0);
-    std::int64_t borrow = 0;
-    for (size_t i = 0; i < limbs_.size(); ++i) {
-        std::int64_t v = std::int64_t(limbs_[i]) - borrow;
-        if (i < o.limbs_.size())
-            v -= o.limbs_[i];
-        if (v < 0) {
-            v += (std::int64_t(1) << 32);
-            borrow = 1;
-        } else {
-            borrow = 0;
-        }
-        out.limbs_[i] = static_cast<std::uint32_t>(v);
-    }
-    out.trim();
+    out.limbs_ = fold(x, m.limbs_);
     return out;
-}
-
-BigInt
-BigInt::operator*(const BigInt &o) const
-{
-    if (isZero() || o.isZero())
-        return BigInt();
-    BigInt out;
-    out.limbs_.assign(limbs_.size() + o.limbs_.size(), 0);
-    for (size_t i = 0; i < limbs_.size(); ++i) {
-        std::uint64_t carry = 0;
-        for (size_t j = 0; j < o.limbs_.size(); ++j) {
-            std::uint64_t v = std::uint64_t(limbs_[i]) * o.limbs_[j] +
-                              out.limbs_[i + j] + carry;
-            out.limbs_[i + j] = static_cast<std::uint32_t>(v);
-            carry = v >> 32;
-        }
-        size_t k = i + o.limbs_.size();
-        while (carry) {
-            std::uint64_t v = std::uint64_t(out.limbs_[k]) + carry;
-            out.limbs_[k] = static_cast<std::uint32_t>(v);
-            carry = v >> 32;
-            ++k;
-        }
-    }
-    out.trim();
-    return out;
-}
-
-BigInt
-BigInt::operator%(const BigInt &m) const
-{
-    if (m.isZero())
-        fatal("BigInt: modulo by zero");
-    if (*this < m)
-        return *this;
-
-    // Shift-subtract long division keeping only the remainder.
-    BigInt rem;
-    for (size_t i = bitLength(); i-- > 0;) {
-        // rem = rem * 2 + bit(i)
-        std::uint32_t carry = bit(i) ? 1 : 0;
-        for (auto &limb : rem.limbs_) {
-            std::uint32_t next = limb >> 31;
-            limb = (limb << 1) | carry;
-            carry = next;
-        }
-        if (carry)
-            rem.limbs_.push_back(carry);
-        if (rem >= m)
-            rem = rem - m;
-    }
-    return rem;
 }
 
 BigInt
 BigInt::addMod(const BigInt &o, const BigInt &m) const
 {
-    return (*this + o) % m;
+    Wide x{};
+    u128 acc = 0;
+    for (size_t i = 0; i < 4; ++i) {
+        acc += u128(limbs_[i]) + o.limbs_[i];
+        x[i] = static_cast<std::uint64_t>(acc);
+        acc >>= 64;
+    }
+    x[4] = static_cast<std::uint64_t>(acc);
+    BigInt out;
+    out.limbs_ = fold(x, m.limbs_);
+    return out;
 }
 
 BigInt
 BigInt::mulMod(const BigInt &o, const BigInt &m) const
 {
-    return (*this * o) % m;
+    BigInt out;
+    out.limbs_ = fold(mulWide(limbs_, o.limbs_), m.limbs_);
+    return out;
 }
 
 BigInt
 BigInt::powMod(const BigInt &e, const BigInt &m) const
 {
+    const BigInt base = mod(m);
     BigInt result(1);
-    BigInt base = *this % m;
     for (size_t i = e.bitLength(); i-- > 0;) {
         result = result.mulMod(result, m);
-        if (e.bit(i))
+        if ((e.limbs_[i / 64] >> (i % 64)) & 1)
             result = result.mulMod(base, m);
     }
     return result;

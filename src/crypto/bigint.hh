@@ -1,17 +1,20 @@
 /**
  * @file
- * Minimal arbitrary-precision unsigned integer used by the trust
- * establishment protocols (Diffie-Hellman key exchange and
- * Schnorr-style attestation signatures). Supports the handful of
- * operations modular exponentiation needs.
+ * Fixed 256-bit unsigned integer used by the trust establishment
+ * protocols (Diffie-Hellman key exchange and Schnorr-style
+ * attestation signatures). Supports the handful of operations
+ * modular exponentiation needs, modulo m = 2^256 - c for a c below
+ * 2^64: the DH group prime p = 2^256 - 189 and its exponent order
+ * p - 1 = 2^256 - 190.
  */
 
 #ifndef CCAI_CRYPTO_BIGINT_HH
 #define CCAI_CRYPTO_BIGINT_HH
 
+#include <array>
+#include <compare>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -19,17 +22,20 @@ namespace ccai::crypto
 {
 
 /**
- * Unsigned big integer, little-endian limbs of 32 bits. Not
- * performance-tuned; group sizes in the simulation are 256 bits so
- * schoolbook algorithms are ample.
+ * Unsigned 256-bit integer, four little-endian 64-bit limbs, no heap.
+ * Every reduction is one fold: since 2^256 = c (mod m), the high half
+ * of a 512-bit product times c is added to the low half, twice, and m
+ * is subtracted at most once. A 256-bit modexp is ~400 such steps,
+ * tens of microseconds; Montgomery form is not used because it cannot
+ * reduce modulo the even p - 1.
  */
 class BigInt
 {
   public:
     BigInt() = default;
-    BigInt(std::uint64_t v);
+    BigInt(std::uint64_t v) : limbs_{v, 0, 0, 0} {}
 
-    /** Parse big-endian bytes. */
+    /** Parse big-endian bytes; fatal() above 32 significant bytes. */
     static BigInt fromBytes(const Bytes &be);
 
     /** Parse a hex string (big-endian). */
@@ -40,23 +46,17 @@ class BigInt
 
     std::string toHexString() const;
 
-    bool isZero() const { return limbs_.empty(); }
+    bool isZero() const { return *this == BigInt(); }
     size_t bitLength() const;
-    bool bit(size_t i) const;
 
-    bool operator==(const BigInt &o) const { return limbs_ == o.limbs_; }
-    bool operator!=(const BigInt &o) const { return !(*this == o); }
-    bool operator<(const BigInt &o) const { return cmp(o) < 0; }
-    bool operator<=(const BigInt &o) const { return cmp(o) <= 0; }
-    bool operator>(const BigInt &o) const { return cmp(o) > 0; }
-    bool operator>=(const BigInt &o) const { return cmp(o) >= 0; }
+    bool operator==(const BigInt &o) const = default;
+    std::strong_ordering operator<=>(const BigInt &o) const;
 
-    BigInt operator+(const BigInt &o) const;
-    /** Subtraction; requires *this >= o. */
-    BigInt operator-(const BigInt &o) const;
-    BigInt operator*(const BigInt &o) const;
-    BigInt operator%(const BigInt &m) const;
+    // The modulus m of every operation below must be 2^256 - c with
+    // 0 < c < 2^64; operands may be any 256-bit value.
 
+    /** this mod m */
+    BigInt mod(const BigInt &m) const;
     /** (this + o) mod m */
     BigInt addMod(const BigInt &o, const BigInt &m) const;
     /** (this * o) mod m */
@@ -65,10 +65,7 @@ class BigInt
     BigInt powMod(const BigInt &e, const BigInt &m) const;
 
   private:
-    int cmp(const BigInt &o) const;
-    void trim();
-
-    std::vector<std::uint32_t> limbs_; ///< little-endian, no leading 0s
+    std::array<std::uint64_t, 4> limbs_{}; ///< little-endian
 };
 
 } // namespace ccai::crypto

@@ -1,7 +1,5 @@
 #include "dh.hh"
 
-#include "common/bytes_util.hh"
-#include "common/logging.hh"
 #include "crypto/sha256.hh"
 
 namespace ccai::crypto
@@ -18,6 +16,9 @@ DhGroup::standard()
             "ffffffffffffffffffffffffffffffff"
             "ffffffffffffffffffffffffffffff43");
         g.g = BigInt(2);
+        g.order = BigInt::fromHexString(
+            "ffffffffffffffffffffffffffffffff"
+            "ffffffffffffffffffffffffffffff42");
         return g;
     }();
     return group;
@@ -53,18 +54,6 @@ Signature::serialize() const
     return out;
 }
 
-Signature
-Signature::deserialize(const Bytes &data)
-{
-    if (data.size() != 64)
-        fatal("Signature::deserialize: expected 64 bytes, got %zu",
-              data.size());
-    Signature sig;
-    sig.r = BigInt::fromBytes(Bytes(data.begin(), data.begin() + 32));
-    sig.s = BigInt::fromBytes(Bytes(data.begin() + 32, data.end()));
-    return sig;
-}
-
 namespace
 {
 
@@ -74,8 +63,7 @@ challenge(const BigInt &r, const Bytes &message, const DhGroup &group)
 {
     Bytes input = r.toBytes(32);
     input.insert(input.end(), message.begin(), message.end());
-    BigInt e = BigInt::fromBytes(Sha256::digest(input));
-    return e % (group.p - BigInt(1));
+    return BigInt::fromBytes(Sha256::digest(input)).mod(group.order);
 }
 
 } // namespace
@@ -84,7 +72,6 @@ Signature
 sign(const BigInt &priv, const Bytes &message, sim::Rng &rng,
      const DhGroup &group)
 {
-    const BigInt order = group.p - BigInt(1);
     BigInt k = BigInt::fromBytes(rng.bytes(31));
     if (k.isZero())
         k = BigInt(5);
@@ -93,7 +80,7 @@ sign(const BigInt &priv, const Bytes &message, sim::Rng &rng,
     sig.r = group.g.powMod(k, group.p);
     BigInt e = challenge(sig.r, message, group);
     // s = k + x * e mod (p-1)
-    sig.s = k.addMod(priv.mulMod(e, order), order);
+    sig.s = k.addMod(priv.mulMod(e, group.order), group.order);
     return sig;
 }
 

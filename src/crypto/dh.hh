@@ -4,8 +4,10 @@
  * signatures over the same group. These back the remote attestation
  * protocol in the trust module (Figure 6 of the paper).
  *
- * Simulation-grade: a 256-bit prime group keeps modexp fast; real
- * deployments would use standard 2048-bit MODP groups or ECDH.
+ * Simulation-grade: the group prime p = 2^256 - 189 lets every
+ * reduction be BigInt's fixed 4x64-bit fold, so a modexp costs tens
+ * of microseconds; real deployments would use standard 2048-bit MODP
+ * groups or ECDH.
  */
 
 #ifndef CCAI_CRYPTO_DH_HH
@@ -19,11 +21,12 @@
 namespace ccai::crypto
 {
 
-/** Multiplicative group parameters (prime modulus and generator). */
+/** Group parameters: prime modulus, generator and exponent order. */
 struct DhGroup
 {
-    BigInt p; ///< prime modulus
-    BigInt g; ///< generator
+    BigInt p;     ///< prime modulus
+    BigInt g;     ///< generator
+    BigInt order; ///< p - 1: Schnorr's s and challenges reduce mod it
 
     /** The fixed group used throughout the simulation. */
     static const DhGroup &standard();
@@ -50,8 +53,8 @@ struct Signature
     BigInt r;
     BigInt s;
 
+    /** r || s, 32 big-endian bytes each. */
     Bytes serialize() const;
-    static Signature deserialize(const Bytes &data);
 };
 
 /** Sign @p message with private key @p priv. */

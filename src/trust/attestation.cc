@@ -66,12 +66,6 @@ AttestationVerifier::sessionSecret(const crypto::BigInt &peerPub) const
     return crypto::computeSharedSecret(dh_.priv, peerPub);
 }
 
-void
-AttestationVerifier::expectPcr(size_t index, const Bytes &value)
-{
-    expectedPcrs_[index] = value;
-}
-
 Challenge
 AttestationVerifier::makeChallenge(
     std::uint32_t keyId, const std::vector<size_t> &pcrSelection)
@@ -88,6 +82,7 @@ AttestationVerifier::verifyQuoteChain(const Quote &quote,
                                       const Challenge &challenge,
                                       const Certificate &ekCert,
                                       const Certificate &akCert,
+                                      const PcrBank &golden,
                                       const std::string &who)
 {
     VerifyResult r;
@@ -117,12 +112,9 @@ AttestationVerifier::verifyQuoteChain(const Quote &quote,
         r.reason = who + ": PCR selection mismatch";
         return r;
     }
-    // Expected PCR values.
+    // Every selected PCR holds this release's golden value.
     for (size_t i = 0; i < quote.pcrSelection.size(); ++i) {
-        auto it = expectedPcrs_.find(quote.pcrSelection[i]);
-        if (it == expectedPcrs_.end())
-            continue;
-        if (it->second != quote.pcrValues[i]) {
+        if (golden.value(quote.pcrSelection[i]) != quote.pcrValues[i]) {
             r.reason = who + ": PCR " +
                        std::to_string(quote.pcrSelection[i]) +
                        " does not match golden value";
@@ -139,14 +131,15 @@ AttestationVerifier::verifyReport(const AttestationReport &report,
                                   const Challenge &challenge,
                                   const AttestationResponder &responder)
 {
-    VerifyResult r = verifyQuoteChain(report.cpuQuote, challenge,
-                                      responder.cpuEkCert(),
-                                      responder.cpuAkCert(), "cpu-hrot");
+    VerifyResult r = verifyQuoteChain(
+        report.cpuQuote, challenge, responder.cpuEkCert(),
+        responder.cpuAkCert(), goldens_.cpuHrot, "cpu-hrot");
     if (!r.ok)
         return r;
     return verifyQuoteChain(report.bladeQuote, challenge,
                             responder.bladeEkCert(),
-                            responder.bladeAkCert(), "hrot-blade");
+                            responder.bladeAkCert(), goldens_.blade,
+                            "hrot-blade");
 }
 
 } // namespace ccai::trust

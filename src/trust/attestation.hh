@@ -17,7 +17,6 @@
 #ifndef CCAI_TRUST_ATTESTATION_HH
 #define CCAI_TRUST_ATTESTATION_HH
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,6 +40,18 @@ struct AttestationReport
 {
     Quote cpuQuote;
     Quote bladeQuote;
+};
+
+/**
+ * Golden PCR values of one release, one bank per attested HRoT. They
+ * come from the release's measurements (the image digests, extended
+ * in boot order), never from the registers under attestation; a
+ * register the release never extends keeps its reset value.
+ */
+struct PcrGoldens
+{
+    PcrBank cpuHrot;
+    PcrBank blade;
 };
 
 /** Outcome of a verification run, with the reason for any failure. */
@@ -80,8 +91,9 @@ class AttestationResponder
 };
 
 /**
- * User side: drives the protocol and checks every signature and the
- * PCR values against golden references.
+ * User side: drives the protocol and checks every signature and every
+ * selected PCR value against its HRoT's golden bank (all reset values
+ * until expectGoldens()).
  */
 class AttestationVerifier
 {
@@ -92,8 +104,8 @@ class AttestationVerifier
     const crypto::BigInt &dhPublic() const { return dh_.pub; }
     Bytes sessionSecret(const crypto::BigInt &peerPub) const;
 
-    /** Record the PCR value the verifier expects. */
-    void expectPcr(size_t index, const Bytes &value);
+    /** Set the PCR values the verifier expects from each HRoT. */
+    void expectGoldens(PcrGoldens goldens) { goldens_ = std::move(goldens); }
 
     /** Build a fresh challenge with a random nonce. */
     Challenge makeChallenge(std::uint32_t keyId,
@@ -112,12 +124,13 @@ class AttestationVerifier
                                   const Challenge &challenge,
                                   const Certificate &ekCert,
                                   const Certificate &akCert,
+                                  const PcrBank &golden,
                                   const std::string &who);
 
     const RootCa &ca_;
     sim::Rng &rng_;
     crypto::KeyPair dh_;
-    std::map<size_t, Bytes> expectedPcrs_;
+    PcrGoldens goldens_;
 };
 
 } // namespace ccai::trust

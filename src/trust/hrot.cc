@@ -106,6 +106,9 @@ HrotBlade::quote(const Bytes &nonce,
 bool
 HrotBlade::verifyQuote(const Quote &q, const crypto::BigInt &akPub)
 {
+    // The quote comes from the platform: one value per selected PCR.
+    if (q.pcrValues.size() != q.pcrSelection.size())
+        return false;
     // Recompute the composite from the reported values.
     crypto::Sha256 h;
     for (size_t i = 0; i < q.pcrSelection.size(); ++i) {

@@ -1,7 +1,6 @@
 #include "xpu_command.hh"
 
 #include "common/bytes_util.hh"
-#include "common/logging.hh"
 
 namespace ccai::xpu
 {
@@ -23,12 +22,12 @@ XpuCommand::serialize() const
     return out;
 }
 
-XpuCommand
+std::optional<XpuCommand>
 XpuCommand::deserialize(const Bytes &raw)
 {
-    if (raw.size() != kXpuCommandBytes)
-        fatal("XpuCommand: expected %u bytes, got %zu",
-              kXpuCommandBytes, raw.size());
+    if (raw.size() != kXpuCommandBytes ||
+        raw[0] > static_cast<std::uint8_t>(XpuCmdType::MemSet))
+        return std::nullopt;
     XpuCommand cmd;
     cmd.type = static_cast<XpuCmdType>(raw[0]);
     cmd.synthetic = raw[1] != 0;

@@ -9,6 +9,7 @@
 #define CCAI_XPU_XPU_COMMAND_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "common/types.hh"
 
@@ -22,7 +23,7 @@ enum class XpuCmdType : std::uint8_t
     DmaFromHost,  ///< device pulls data from host memory (H2D)
     DmaToHost,    ///< device pushes data to host memory (D2H)
     Fence,        ///< raise an MSI when all prior commands retired
-    MemSet,       ///< clear a VRAM range
+    MemSet,       ///< clear a VRAM range (the last type)
 };
 
 /** Serialized size of a command descriptor on the wire. */
@@ -56,8 +57,12 @@ struct XpuCommand
     /** Serialize to the 64-byte wire format. */
     Bytes serialize() const;
 
-    /** Parse from the wire format; fatal() on malformed input. */
-    static XpuCommand deserialize(const Bytes &raw);
+    /**
+     * Parse from the wire format. The bytes come from the host, so a
+     * descriptor that is not kXpuCommandBytes long or whose type byte
+     * names no XpuCmdType yields nullopt.
+     */
+    static std::optional<XpuCommand> deserialize(const Bytes &raw);
 };
 
 } // namespace ccai::xpu

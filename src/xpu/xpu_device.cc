@@ -17,6 +17,8 @@ XpuDevice::Handles::Handles(obs::MetricGroup &g)
       mmioWrites(g.counterHandle("mmio_writes")),
       mmioReads(g.counterHandle("mmio_reads")),
       doorbellEmpty(g.counterHandle("doorbell_empty")),
+      badCmdLength(g.counterHandle("bad_cmd_length")),
+      badCmdType(g.counterHandle("bad_cmd_type")),
       commandsQueued(g.counterHandle("commands_queued")),
       kernels(g.counterHandle("kernels")),
       dmaH2d(g.counterHandle("dma_h2d")),
@@ -126,8 +128,19 @@ XpuDevice::handleMmioWrite(const pcie::TlpPtr &tlp)
                  (unsigned long long)slot);
             return;
         }
-        queue_.push_back(XpuCommand::deserialize(it->second));
+        std::optional<XpuCommand> cmd = XpuCommand::deserialize(it->second);
+        const bool short_desc = it->second.size() != kXpuCommandBytes;
         cmdWindow_.erase(it);
+        if (!cmd) {
+            // Fail closed: drop the descriptor with a counted reason
+            // and keep serving the queue.
+            (short_desc ? s_.badCmdLength : s_.badCmdType).inc();
+            warn("%s: dropped %s descriptor in slot 0x%llx",
+                 name().c_str(), short_desc ? "short" : "unknown-type",
+                 (unsigned long long)slot);
+            return;
+        }
+        queue_.push_back(*cmd);
         s_.commandsQueued.inc();
         if (!busy_)
             startNextCommand();

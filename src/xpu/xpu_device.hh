@@ -181,6 +181,8 @@ class XpuDevice : public sim::SimObject, public pcie::PcieNode
         obs::CounterHandle mmioWrites;
         obs::CounterHandle mmioReads;
         obs::CounterHandle doorbellEmpty;
+        obs::CounterHandle badCmdLength;
+        obs::CounterHandle badCmdType;
         obs::CounterHandle commandsQueued;
         obs::CounterHandle kernels;
         obs::CounterHandle dmaH2d;

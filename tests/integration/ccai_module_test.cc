@@ -155,6 +155,29 @@ TEST(TrustFailure, TamperedChassisReportedNotFatal)
               before);
 }
 
+TEST(TrustFailure, RogueBladeFirmwareFailsReattestation)
+{
+    Platform p(PlatformConfig{.secure = true});
+    ASSERT_TRUE(p.establishTrust().ok());
+    ASSERT_TRUE(p.reattestTenant(0));
+    // A rogue firmware measurement on the blade after boot: the
+    // verifier's goldens come from the release, not from the blade.
+    p.blade()->pcrs().extend(trust::pcridx::kScFirmware,
+                             crypto::Sha256::digest(std::string("rogue")),
+                             "rogue-firmware");
+    EXPECT_FALSE(p.reattestTenant(0));
+}
+
+TEST(TrustFailure, RogueTvmImageFailsReattestation)
+{
+    Platform p(PlatformConfig{.secure = true});
+    ASSERT_TRUE(p.establishTrust().ok());
+    p.cpuHrot()->pcrs().extend(trust::pcridx::kTvmImage,
+                               crypto::Sha256::digest(std::string("rogue")),
+                               "rogue-tvm");
+    EXPECT_FALSE(p.reattestTenant(0));
+}
+
 TEST(VanillaPlatform, TrustIsNoOp)
 {
     Platform p(PlatformConfig{.secure = false});

@@ -214,6 +214,7 @@ TEST_F(RecoveryChaos, SoakOneCrashPerTenSecondsAllDomains)
     EXPECT_EQ(out.counters["crashes_injected"], out.schedule.size());
     EXPECT_EQ(out.counters["episodes_started"],
               out.counters["episodes_resolved"]);
+    EXPECT_EQ(out.counters["reattest_failures"], 0u);
     for (const auto &ep : out.episodes) {
         EXPECT_TRUE(ep.finalState == RecoveryState::Resuming ||
                     ep.finalState == RecoveryState::Quarantined)
@@ -235,6 +236,9 @@ TEST_F(RecoveryChaos, SoakOneCrashPerSecondAllDomains)
     // Each detected crash ran the full scrub + re-attest pipeline.
     EXPECT_GT(out.counters["resets"], 0u);
     EXPECT_GT(out.counters["reattests"], 0u);
+    // A rebooted blade keeps its PCRs, so every re-attestation matches
+    // the release's goldens.
+    EXPECT_EQ(out.counters["reattest_failures"], 0u);
     EXPECT_GT(out.counters["env_guard_cleans"], 0u);
     for (const auto &ep : out.episodes) {
         EXPECT_TRUE(ep.finalState == RecoveryState::Resuming ||

@@ -257,23 +257,21 @@ TEST(Attestation, FullProtocolSucceeds)
     EXPECT_EQ(verifier.sessionSecret(responder.dhPublic()),
               responder.sessionSecret(verifier.dhPublic()));
 
-    // Steps 2-4.
-    Challenge c = verifier.makeChallenge(0, {pcridx::kScBitstream});
-    verifier.expectPcr(pcridx::kScBitstream,
-                       rig.blade.pcrs().value(pcridx::kScBitstream));
+    // Steps 2-4. The goldens replay the rig's release measurements;
+    // each HRoT's quote is checked against its own bank.
+    PcrGoldens goldens;
+    goldens.cpuHrot.extend(pcridx::kTvmImage,
+                           crypto::Sha256::digest(std::string("tvm")),
+                           "tvm");
+    goldens.blade.extend(pcridx::kScBitstream,
+                         crypto::Sha256::digest(std::string("bits")),
+                         "bits");
+    verifier.expectGoldens(goldens);
+    Challenge c = verifier.makeChallenge(
+        0, {pcridx::kTvmImage, pcridx::kScBitstream});
     AttestationReport report = responder.respond(c);
-    // CPU-side PCR 8 is zero; remove expectation conflicts by
-    // verifying the blade quote values only.
     VerifyResult vr = verifier.verifyReport(report, c, responder);
-    // The CPU quote reports PCR8 = 0 which conflicts with the blade
-    // golden; verify signature chains individually instead.
-    EXPECT_TRUE(HrotBlade::verifyQuote(report.bladeQuote,
-                                       responder.bladeAkCert()
-                                           .publicKey));
-    EXPECT_TRUE(HrotBlade::verifyQuote(report.cpuQuote,
-                                       responder.cpuAkCert()
-                                           .publicKey));
-    (void)vr;
+    EXPECT_TRUE(vr.ok) << vr.reason;
 }
 
 TEST(Attestation, MatchingGoldensVerifyEndToEnd)
@@ -311,7 +309,10 @@ TEST(Attestation, WrongPcrValueRejected)
     AttestRig rig;
     AttestationResponder responder(rig.cpu, rig.blade, rig.rng);
     AttestationVerifier verifier(rig.ca, rig.rng);
-    verifier.expectPcr(2, crypto::Sha256::digest(std::string("evil")));
+    PcrGoldens goldens;
+    goldens.blade.extend(2, crypto::Sha256::digest(std::string("evil")),
+                         "evil");
+    verifier.expectGoldens(goldens);
 
     Challenge c = verifier.makeChallenge(0, {2});
     AttestationReport report = responder.respond(c);
@@ -332,6 +333,20 @@ TEST(Attestation, ForgedQuoteRejected)
         crypto::Sha256::digest(std::string("forged"));
     VerifyResult vr = verifier.verifyReport(report, c, responder);
     EXPECT_FALSE(vr.ok);
+}
+
+TEST(Attestation, QuoteMissingPcrValueRejected)
+{
+    AttestRig rig;
+    AttestationResponder responder(rig.cpu, rig.blade, rig.rng);
+    AttestationVerifier verifier(rig.ca, rig.rng);
+
+    Challenge c = verifier.makeChallenge(0, {2, 3});
+    AttestationReport report = responder.respond(c);
+    report.cpuQuote.pcrValues.pop_back();
+    VerifyResult vr = verifier.verifyReport(report, c, responder);
+    EXPECT_FALSE(vr.ok);
+    EXPECT_NE(vr.reason.find("quote signature"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -30,7 +30,7 @@ TEST(XpuCommand, SerializeRoundTrip)
 
     Bytes wire = cmd.serialize();
     EXPECT_EQ(wire.size(), kXpuCommandBytes);
-    XpuCommand back = XpuCommand::deserialize(wire);
+    XpuCommand back = XpuCommand::deserialize(wire).value();
     EXPECT_EQ(back.type, cmd.type);
     EXPECT_EQ(back.id, cmd.id);
     EXPECT_EQ(back.duration, cmd.duration);
@@ -259,6 +259,43 @@ TEST(XpuDevice, DoorbellForEmptySlotIgnored)
     h.sys.run();
     EXPECT_EQ(h.dev.retiredCommands(), 0u);
     EXPECT_EQ(h.dev.stats().counterHandle("doorbell_empty").value(), 1u);
+}
+
+TEST(XpuDevice, ShortDescriptorDroppedAndCounted)
+{
+    XpuHarness h;
+    // An 8-byte descriptor, then its doorbell: dropped, not fatal.
+    Addr ring = mm::kXpuMmio.base + mm::xpureg::kCmdQueueBase;
+    h.rc.sendWrite(Tlp::makeMemWrite(wellknown::kTvm, ring, Bytes(8, 0)));
+    Bytes bell(8, 0);
+    h.rc.sendWrite(Tlp::makeMemWrite(
+        wellknown::kTvm, mm::kXpuMmio.base + mm::xpureg::kDoorbell,
+        std::move(bell)));
+    // A valid kernel staged behind it still runs.
+    XpuCommand kernel;
+    kernel.type = XpuCmdType::LaunchKernel;
+    kernel.duration = 10 * kTicksPerUs;
+    h.submit(kernel, 1);
+    h.sys.run();
+    EXPECT_EQ(h.dev.stats().counterHandle("bad_cmd_length").value(), 1u);
+    EXPECT_EQ(h.dev.stats().counterHandle("commands_queued").value(), 1u);
+    EXPECT_EQ(h.dev.retiredCommands(), 1u);
+}
+
+TEST(XpuDevice, UnknownCommandTypeDroppedQueueMoves)
+{
+    XpuHarness h;
+    XpuCommand bogus;
+    bogus.type = static_cast<XpuCmdType>(0x7f);
+    h.submit(bogus, 0);
+    XpuCommand kernel;
+    kernel.type = XpuCmdType::LaunchKernel;
+    kernel.duration = 10 * kTicksPerUs;
+    h.submit(kernel, 1);
+    h.sys.run();
+    EXPECT_EQ(h.dev.stats().counterHandle("bad_cmd_type").value(), 1u);
+    EXPECT_EQ(h.dev.retiredCommands(), 1u);
+    EXPECT_GE(h.sys.now(), kernel.duration);
 }
 
 TEST(XpuDevice, KernelTimeScalesWithDuration)

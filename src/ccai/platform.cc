@@ -42,9 +42,6 @@ PlatformConfig::validationError() const
     if (adaptorConfig.chunkBytes == 0)
         return "adaptorConfig.chunkBytes must be > 0: it is the "
                "bounce-buffer chunk granularity";
-    if (adaptorConfig.subtaskBytes == 0)
-        return "adaptorConfig.subtaskBytes must be > 0: it is the "
-               "subtask granularity of the non-batched design";
     if (adaptorConfig.d2hSlotBytes == 0)
         return "adaptorConfig.d2hSlotBytes must be > 0: the device "
                "stages every D2H collection through this slot";
@@ -100,8 +97,7 @@ void
 Platform::buildTopology()
 {
     rc_ = std::make_unique<pcie::RootComplex>(sys_, "rc", mem_);
-    tvm_ = std::make_unique<tvm::Tvm>(sys_, "tvm", *rc_, kTvm,
-                                      config_.tvmTiming);
+    tvm_ = std::make_unique<tvm::Tvm>(sys_, "tvm", *rc_, kTvm);
     switch_ = std::make_unique<pcie::Switch>(sys_, "root_switch");
     xpu_ = std::make_unique<xpu::XpuDevice>(sys_, "xpu",
                                             config_.xpuSpec, kXpu);
@@ -170,9 +166,8 @@ Platform::buildTopology()
         owner_cfg.h2dWindow = tenantSlice(mm::kBounceH2d, 0);
         owner_cfg.d2hWindow = tenantSlice(mm::kBounceD2h, 0);
         owner_cfg.metaWindow = tenantSlice(mm::kMetadataBuffer, 0);
-        adaptor_ = std::make_unique<tvm::Adaptor>(
-            sys_, "adaptor", *tvm_, owner_cfg,
-            config_.adaptorTiming);
+        adaptor_ = std::make_unique<tvm::Adaptor>(sys_, "adaptor",
+                                                  *tvm_, owner_cfg);
         driver_ = std::make_unique<tvm::XpuDriver>(
             sys_, "driver", *tvm_, adaptor_.get());
         runtime_ = std::make_unique<tvm::Runtime>(
@@ -484,16 +479,15 @@ Platform::addTenant(pcie::Bdf bdf)
     auto tenant = std::make_unique<Tenant>();
     tenant->bdf = bdf;
     std::string prefix = "tenant" + std::to_string(slot);
-    tenant->tvm = std::make_unique<tvm::Tvm>(
-        sys_, prefix + ".tvm", *rc_, bdf, config_.tvmTiming);
+    tenant->tvm =
+        std::make_unique<tvm::Tvm>(sys_, prefix + ".tvm", *rc_, bdf);
 
     tvm::AdaptorConfig cfg = config_.adaptorConfig;
     cfg.h2dWindow = tenantSlice(mm::kBounceH2d, slot);
     cfg.d2hWindow = tenantSlice(mm::kBounceD2h, slot);
     cfg.metaWindow = tenantSlice(mm::kMetadataBuffer, slot);
     tenant->adaptor = std::make_unique<tvm::Adaptor>(
-        sys_, prefix + ".adaptor", *tenant->tvm, cfg,
-        config_.adaptorTiming);
+        sys_, prefix + ".adaptor", *tenant->tvm, cfg);
     tenant->driver = std::make_unique<tvm::XpuDriver>(
         sys_, prefix + ".driver", *tenant->tvm,
         tenant->adaptor.get());

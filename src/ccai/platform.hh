@@ -51,8 +51,6 @@ struct PlatformConfig
     pcie::LinkConfig internalLink;
     sc::PcieScConfig scConfig;
     tvm::AdaptorConfig adaptorConfig;
-    tvm::AdaptorTiming adaptorTiming;
-    tvm::TvmTiming tvmTiming;
     /**
      * Fallback RNG seed; overridden by --seed / CCAI_SEED (see
      * sim::resolveSeed). Platform::seed() reports the effective value.
@@ -145,7 +143,6 @@ class Platform
     /** nullptr unless attachBusTap was set. */
     attack::BusTap *busTap() { return busTap_.get(); }
     trust::ChassisSealing *sealing() { return sealing_.get(); }
-    trust::RootCa *rootCa() { return ca_.get(); }
 
     /**
      * Run the full trust-establishment sequence (§6): secure boot of

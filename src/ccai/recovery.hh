@@ -170,7 +170,6 @@ class RecoveryManager : public sim::SimObject
     /** Run heartbeat probes until @p horizon (absolute tick); beats
      * extend automatically while an episode or guarded op is open. */
     void startWatchdog(Tick horizon);
-    bool watchdogArmed() const { return watchdogArmed_; }
 
     // ---- Crash injection ----
 

@@ -10,9 +10,9 @@
  *
  * The implementation is throughput-oriented (this is the wall-clock
  * hot path of every A2 chunk; simulated time is modelled separately
- * by sc::AesGcmShaEngine / tvm::AdaptorTiming). Seal and open read a
- * source and write a destination, equal for in place, so the
- * data-plane engines crypt while they copy. Where cpuid allows, one
+ * by sc::AesGcmShaEngine and the tvm/adaptor.hh constants). Seal and
+ * open read a source and write a destination, equal for in place, so
+ * the data-plane engines crypt while they copy. Where cpuid allows, one
  * stitched SIMD kernel (gcm_simd.hh) makes a single pass over the
  * payload, encrypting and hashing each block as it is loaded, so open
  * decrypts before the tag is known and, on a mismatch, applies the

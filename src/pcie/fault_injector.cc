@@ -45,7 +45,6 @@ FaultInjector::decide(const Tlp &tlp, Tick now)
     if (config_.flapRate > 0 && flapDraw < config_.flapRate &&
         now >= flapUntil_) {
         flapUntil_ = now + flapPick;
-        ++flapEpisodes_;
         d.flapStarted = true;
     }
     if (now < flapUntil_) {

@@ -148,14 +148,11 @@ class FaultInjector
      * targets. */
     static bool carriesCiphertext(const Tlp &tlp);
 
-    std::uint64_t flapEpisodes() const { return flapEpisodes_; }
-
     void
     reset()
     {
         rng_ = sim::Rng(config_.seed ^ sim::seedHash(salt_));
         flapUntil_ = 0;
-        flapEpisodes_ = 0;
         corruptCount_ = 0;
     }
 
@@ -164,7 +161,6 @@ class FaultInjector
     std::string salt_;
     sim::Rng rng_;
     Tick flapUntil_ = 0;
-    std::uint64_t flapEpisodes_ = 0;
     std::uint64_t corruptCount_ = 0;
 };
 

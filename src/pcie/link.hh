@@ -96,7 +96,6 @@ class Link : public sim::SimObject
      * independent — but per-seed reproducible — decisions.
      */
     void setFaultConfig(const FaultConfig &config);
-    FaultInjector *faultInjector() { return injector_.get(); }
 
     obs::MetricGroup &stats() { return stats_; }
     obs::MetricGroup *statGroup() override { return &stats_; }

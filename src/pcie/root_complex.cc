@@ -20,13 +20,6 @@ RootComplex::Handles::Handles(obs::MetricGroup &g)
       iommuBlocked(g.counterHandle("iommu_blocked")),
       dmaWrites(g.counterHandle("dma_writes")),
       dmaReads(g.counterHandle("dma_reads")),
-      transportRxAccepted(
-          g.counterHandle("transport_rx_accepted")),
-      transportRxDuplicates(
-          g.counterHandle("transport_rx_duplicates")),
-      transportRxOoo(g.counterHandle("transport_rx_ooo")),
-      transportAcksSent(g.counterHandle("transport_acks_sent")),
-      transportNaksSent(g.counterHandle("transport_naks_sent")),
       transportAcksReceived(
           g.counterHandle("transport_acks_received")),
       readLatencyTicks(g.histogramHandle("read_latency_ticks"))
@@ -36,6 +29,11 @@ RootComplex::RootComplex(sim::System &sys, std::string name,
                          HostMemory &mem)
     : sim::SimObject(sys, std::move(name)), mem_(mem),
       stats_(sys.metrics(), this->name()), s_(stats_),
+      rxUp_(stats_,
+            [this](const TransportAck &ack) {
+                down_->send(makeTransportAck(wellknown::kRootComplex,
+                                             wellknown::kPcieSc, ack));
+            }),
       tracer_(&sys.tracer())
 {
 }
@@ -161,38 +159,10 @@ RootComplex::transportGate(const TlpPtr &tlp)
 {
     if (!tlp->ackRequired)
         return true;
-    std::uint64_t &rx = rxSeq_[tlp->txChannel];
-    if (tlp->seqNo == rx + 1) {
-        rx = tlp->seqNo;
-        s_.transportRxAccepted.inc();
-        sendAck(tlp->txChannel, rx, false);
-        return true;
-    }
-    if (tlp->seqNo <= rx) {
-        // Retransmit of something already delivered: re-ack so the
-        // sender's window advances, but do not apply twice.
-        s_.transportRxDuplicates.inc();
-        sendAck(tlp->txChannel, rx, false);
+    if (rxUp_.check(*tlp) != ArqOrder::Next)
         return false;
-    }
-    // Gap: something before this TLP was lost. NAK the first
-    // missing seq; the sender goes back and retransmits from there.
-    s_.transportRxOoo.inc();
-    sendAck(tlp->txChannel, rx + 1, true);
-    return false;
-}
-
-void
-RootComplex::sendAck(std::uint16_t channel, std::uint64_t seq, bool nak)
-{
-    Tlp ack = Tlp::makeMessage(wellknown::kRootComplex,
-                               MsgCode::TransportAck);
-    ack.completer = wellknown::kPcieSc; // ID-routed back to the SC
-    ack.fmt = TlpFmt::FourDwData;
-    ack.data = encodeTransportAck(TransportAck{nak, channel, seq});
-    ack.lengthBytes = static_cast<std::uint32_t>(ack.data.size());
-    (nak ? s_.transportNaksSent : s_.transportAcksSent).inc();
-    down_->send(std::make_shared<Tlp>(std::move(ack)));
+    rxUp_.accept(*tlp);
+    return true;
 }
 
 void
@@ -309,7 +279,7 @@ RootComplex::abortTransport()
     // Dropping the entries retires their retry timers too: the
     // timer's (tag, gen) lookup finds nothing and no-ops.
     outstanding_.clear();
-    rxSeq_.clear();
+    rxUp_.clear();
 }
 
 void
@@ -317,7 +287,7 @@ RootComplex::reset()
 {
     outstanding_.clear();
     nextTag_ = 0;
-    rxSeq_.clear();
+    rxUp_.clear();
     stats_.reset();
 }
 

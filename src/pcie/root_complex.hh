@@ -142,7 +142,6 @@ class RootComplex : public sim::SimObject, public PcieNode
     void onReadTimeout(std::uint8_t tag);
     /** In-order delivery gate for ackRequired TLPs; true = deliver. */
     bool transportGate(const TlpPtr &tlp);
-    void sendAck(std::uint16_t channel, std::uint64_t seq, bool nak);
 
     HostMemory &mem_;
     Link *down_ = nullptr;
@@ -151,8 +150,6 @@ class RootComplex : public sim::SimObject, public PcieNode
     MsgCallback msgHandler_;
     std::map<std::uint16_t, MsgCallback> msgHandlers_;
     std::map<std::uint16_t, TransportAckCallback> transportHandlers_;
-    /** Highest in-order seqNo accepted per upstream ARQ channel. */
-    std::map<std::uint16_t, std::uint64_t> rxSeq_;
     IommuCheck iommu_;
     obs::MetricGroup stats_;
 
@@ -176,15 +173,13 @@ class RootComplex : public sim::SimObject, public PcieNode
         obs::CounterHandle iommuBlocked;
         obs::CounterHandle dmaWrites;
         obs::CounterHandle dmaReads;
-        obs::CounterHandle transportRxAccepted;
-        obs::CounterHandle transportRxDuplicates;
-        obs::CounterHandle transportRxOoo;
-        obs::CounterHandle transportAcksSent;
-        obs::CounterHandle transportNaksSent;
         obs::CounterHandle transportAcksReceived;
 
         obs::HistogramHandle readLatencyTicks;
     } s_;
+
+    /** Receive gate of the PCIe-SC's upstream tenant channels. */
+    ArqReceiver rxUp_;
 
     obs::Tracer *tracer_;
     obs::TrackId track_ = obs::kNoTrack;

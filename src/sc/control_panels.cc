@@ -55,41 +55,4 @@ DecryptParamsManager::consumeRange(std::uint64_t chunkId,
     }
 }
 
-void
-AuthTagManager::enqueueTag(std::uint64_t tagId, const Bytes &tag)
-{
-    tags_[tagId] = tag;
-}
-
-std::optional<Bytes>
-AuthTagManager::matchTag(std::uint64_t tagId)
-{
-    auto it = tags_.find(tagId);
-    if (it == tags_.end())
-        return std::nullopt;
-    Bytes tag = std::move(it->second);
-    tags_.erase(it);
-    return tag;
-}
-
-bool
-AuthTagManager::verify(const crypto::AesGcm &cipher, std::uint64_t tagId,
-                       const Bytes &iv, const Bytes &ciphertext,
-                       const Bytes &aad, Bytes *plaintext_out)
-{
-    auto tag = matchTag(tagId);
-    if (!tag) {
-        failures_.inc();
-        return false;
-    }
-    auto plaintext = cipher.open(iv, ciphertext, *tag, aad);
-    if (!plaintext) {
-        failures_.inc();
-        return false;
-    }
-    if (plaintext_out)
-        *plaintext_out = std::move(*plaintext);
-    return true;
-}
-
 } // namespace ccai::sc

@@ -1,9 +1,9 @@
 /**
  * @file
- * The Packet Handler's control panels (paper §4.2): the
+ * The Packet Handler's control panel (paper §4.2): the
  * De/Encryption Parameters Manager tracks per-chunk cryptographic
- * parameters, and the Authentication Tag Manager matches tag records
- * against data packets and verifies payload integrity.
+ * parameters. The paper's Authentication Tag Manager has no separate
+ * queue here: each chunk record carries its payload's GCM tag.
  */
 
 #ifndef CCAI_SC_CONTROL_PANELS_HH
@@ -15,8 +15,6 @@
 
 #include "backend/chunk_record.hh"
 #include "common/types.hh"
-#include "crypto/gcm.hh"
-#include "obs/metric_group.hh"
 #include "trust/key_manager.hh"
 
 namespace ccai::sc
@@ -53,36 +51,6 @@ class DecryptParamsManager
   private:
     std::map<Addr, ChunkRecord> byAddr_;
     std::map<std::uint64_t, std::uint64_t> consumedBytes_;
-};
-
-/**
- * Authentication Tag Manager: owns the queue of authentication-tag
- * packets, matches tags with the corresponding task packets by tag
- * attribute, and verifies sensitive-payload integrity.
- */
-class AuthTagManager
-{
-  public:
-    /** Queue a tag record arriving as an auth-tag packet. */
-    void enqueueTag(std::uint64_t tagId, const Bytes &tag);
-
-    /** Match and extract the tag for @p tagId. */
-    std::optional<Bytes> matchTag(std::uint64_t tagId);
-
-    /**
-     * Verify a sealed payload against its queued tag.
-     * @return false when the tag is missing or verification fails.
-     */
-    bool verify(const crypto::AesGcm &cipher, std::uint64_t tagId,
-                const Bytes &iv, const Bytes &ciphertext,
-                const Bytes &aad, Bytes *plaintext_out);
-
-    size_t queued() const { return tags_.size(); }
-    std::uint64_t failures() const { return failures_.value(); }
-
-  private:
-    std::map<std::uint64_t, Bytes> tags_;
-    obs::Counter failures_;
 };
 
 } // namespace ccai::sc

@@ -101,7 +101,6 @@ class PacketFilter
     Tick lookupDelay(const pcie::Tlp &tlp) const;
 
     const backend::RuleTables &tables() const { return tables_; }
-    obs::Counter &blockedCount() { return blocked_; }
     std::uint64_t classified() const { return classified_.value(); }
     std::uint64_t blocked() const { return blocked_.value(); }
     std::uint64_t rejectedConfigs() const

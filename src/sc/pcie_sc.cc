@@ -53,17 +53,7 @@ PcieSc::Handles::Handles(obs::MetricGroup &g)
       unknownOwnWrites(g.counterHandle("unknown_own_writes")),
       d2hReplays(g.counterHandle("d2h_replays")),
       d2hReplayMisses(g.counterHandle("d2h_replay_misses")),
-      transportRxDuplicates(
-          g.counterHandle("transport_rx_duplicates")),
-      transportRxOoo(g.counterHandle("transport_rx_ooo")),
-      transportRxAccepted(
-          g.counterHandle("transport_rx_accepted")),
-      transportAcksSent(g.counterHandle("transport_acks_sent")),
-      transportNaksSent(g.counterHandle("transport_naks_sent")),
-      transportRetransmits(
-          g.counterHandle("transport_retransmits")),
-      transportTimeoutRetransmits(
-          g.counterHandle("transport_timeout_retransmits")),
+      transportBadChannel(g.counterHandle("transport_bad_channel")),
       a2DownCryptTicks(g.histogramHandle("a2_down_crypt_ticks")),
       a2UpCryptTicks(g.histogramHandle("a2_up_crypt_ticks")),
       forwardQueueTicks(g.histogramHandle("forward_queue_ticks"))
@@ -80,6 +70,14 @@ PcieSc::PcieSc(sim::System &sys, std::string name,
     : sim::SimObject(sys, std::move(name)), config_(config),
       filter_(config.filterTiming), gcmEngine_(config.engineTiming),
       stats_(sys.metrics(), this->name()), s_(stats_),
+      upArqStats_(stats_),
+      rxDown_(stats_,
+              [this](const pcie::TransportAck &ack) {
+                  forward(pcie::makeTransportAck(
+                              pcie::wellknown::kPcieSc,
+                              pcie::Bdf::fromRaw(ack.channel), ack),
+                          true, 0);
+              }),
       tracer_(&sys.tracer())
 {
     envGuard_.bindStats(stats_);
@@ -130,7 +128,7 @@ PcieSc::establishTenant(pcie::Bdf tenant, const Bytes &sessionSecret,
     // state in establishSession, and leaving stale receive/transmit
     // state here would NAK-loop or duplicate-drop the fresh stream.
     upTx_.erase(tenant.raw());
-    rxSeqDown_[tenant.raw()] = 0;
+    rxDown_.restart(tenant.raw());
 
     // The first tenant (the owner TVM) controls the packet policy.
     if (sessions_.size() == 1) {
@@ -232,7 +230,7 @@ PcieSc::firmwareRestart()
     pendingSensitiveReads_.clear();
     recentCompleted_.clear();
     upTx_.clear();
-    rxSeqDown_.clear();
+    rxDown_.clear();
     upBusyUntil_ = 0;
     downBusyUntil_ = 0;
     inform("%s: firmware restarted", name().c_str());
@@ -271,7 +269,7 @@ PcieSc::forward(const TlpPtr &tlp, bool upstream, Tick delay)
     // crypto), or posted-write ordering breaks (e.g. a doorbell
     // arriving before its command descriptor).
     Tick &busy = upstream ? upBusyUntil_ : downBusyUntil_;
-    Tick ready = curTick() + delay + config_.forwardLatency;
+    Tick ready = curTick() + delay + kForwardLatency;
     Tick when = std::max(ready, busy);
     s_.forwardQueueTicks.sample(when - ready);
     busy = when;
@@ -291,8 +289,11 @@ PcieSc::processDownstreamBound(const TlpPtr &tlp)
     if (tlp->type == TlpType::Message &&
         tlp->msgCode == pcie::MsgCode::TransportAck) {
         s_.transportAcksReceived.inc();
-        if (auto ack = pcie::decodeTransportAck(tlp->data))
-            handleUpstreamAck(*ack);
+        if (auto ack = pcie::decodeTransportAck(tlp->data)) {
+            auto it = upTx_.find(ack->channel);
+            if (it != upTx_.end())
+                it->second.onAck(*ack);
+        }
         return;
     }
 
@@ -543,6 +544,14 @@ void
 PcieSc::processUpstreamBound(const TlpPtr &tlp)
 {
     s_.upTlps.inc();
+    // The controller stamps everything it sends on a tenant channel
+    // itself (sendUpstreamArq), and the device never does: a stamped
+    // TLP from this side would advance a tenant's channel at the root
+    // complex and make it drop that tenant's real traffic.
+    if (tlp->ackRequired) {
+        s_.transportBadChannel.inc();
+        return;
+    }
     Tick filter_delay = filter_.lookupDelay(*tlp);
     backend::FilterVerdict verdict = filter_.classifyEx(*tlp);
     backend::SecurityAction action = verdict.action;
@@ -956,21 +965,22 @@ PcieSc::transportAdmitDown(const TlpPtr &tlp, backend::SecurityAction action)
 {
     if (!tlp->ackRequired)
         return true;
-    std::uint64_t &rx = rxSeqDown_[tlp->txChannel];
-    if (tlp->seqNo <= rx) {
-        // Retransmit of something already applied: re-ack so the
-        // sender's window advances, but do not apply twice.
-        s_.transportRxDuplicates.inc();
-        sendDownAck(tlp->txChannel, rx, false);
+    // A sender may only advance its own channel: the Adaptor stamps
+    // its requester ID, so any other channel is forged. No ack goes
+    // back, so the forger learns nothing about the channel.
+    if (tlp->txChannel != tlp->requester.raw()) {
+        s_.transportBadChannel.inc();
         return false;
     }
-    if (tlp->seqNo != rx + 1) {
-        // Gap: an earlier packet was lost; ask for it.
-        s_.transportRxOoo.inc();
+    switch (rxDown_.check(*tlp)) {
+      case pcie::ArqOrder::Duplicate:
+        return false;
+      case pcie::ArqOrder::Gap:
         if (tracer_->enabled())
             tracer_->instant(traceTrack(), "arq.down_nak", curTick());
-        sendDownAck(tlp->txChannel, rx + 1, true);
         return false;
+      case pcie::ArqOrder::Next:
+        break;
     }
     // Next in sequence. For A3 traffic the MAC (which covers the
     // ARQ header fields) decides transport acceptance: a corrupted
@@ -984,145 +994,27 @@ PcieSc::transportAdmitDown(const TlpPtr &tlp, backend::SecurityAction action)
         TenantSession *t = session(tlp->requester.raw());
         if (!t || !t->signer.verifyMac(*tlp)) {
             s_.a3IntegrityFailures.inc();
-            sendDownAck(tlp->txChannel, rx + 1, true);
+            rxDown_.refuse(*tlp);
             return false;
         }
     }
-    rx = tlp->seqNo;
-    s_.transportRxAccepted.inc();
-    sendDownAck(tlp->txChannel, rx, false);
+    rxDown_.accept(*tlp);
     return true;
-}
-
-void
-PcieSc::sendDownAck(std::uint16_t channel, std::uint64_t seq, bool nak)
-{
-    Tlp ack = Tlp::makeMessage(pcie::wellknown::kPcieSc,
-                               pcie::MsgCode::TransportAck);
-    ack.completer = pcie::Bdf::fromRaw(channel); // ID-routed home
-    ack.fmt = pcie::TlpFmt::FourDwData;
-    ack.data = pcie::encodeTransportAck(
-        pcie::TransportAck{nak, channel, seq});
-    ack.lengthBytes = static_cast<std::uint32_t>(ack.data.size());
-    (nak ? s_.transportNaksSent : s_.transportAcksSent).inc();
-    forward(std::make_shared<Tlp>(std::move(ack)), true, 0);
 }
 
 void
 PcieSc::sendUpstreamArq(std::uint16_t channel, const TlpPtr &tlp,
                         Tick delay)
 {
-    TxChannel &tx = upTx_[channel];
-    tlp->ackRequired = true;
-    tlp->txChannel = channel;
-    tlp->seqNo = tx.nextSeq++;
-    tx.unacked.push_back(tlp);
+    pcie::ArqSender &tx =
+        upTx_
+            .try_emplace(channel, *this, channel,
+                         [this](const TlpPtr &p) { forward(p, true, 0); },
+                         upArqStats_, "arq.up_")
+            .first->second;
+    tx.stamp(*tlp);
     forward(tlp, true, delay);
-    if (tx.unacked.size() == 1)
-        armUpTxTimer(channel);
-}
-
-void
-PcieSc::handleUpstreamAck(const pcie::TransportAck &ack)
-{
-    auto it = upTx_.find(ack.channel);
-    if (it == upTx_.end())
-        return;
-    TxChannel &tx = it->second;
-    if (ack.nak) {
-        retransmitUpTx(ack.channel, ack.seq);
-        return;
-    }
-    std::size_t before = tx.unacked.size();
-    while (!tx.unacked.empty() &&
-           tx.unacked.front()->seqNo <= ack.seq) {
-        tx.unacked.pop_front();
-    }
-    std::size_t popped = before - tx.unacked.size();
-    if (popped == 0)
-        return; // stale cumulative ack
-    if (tx.dirty)
-        s_.faultsRecovered.inc(popped);
-    tx.attempts = 0;
-    if (tx.unacked.empty()) {
-        tx.dirty = false;
-        if (tx.timer.scheduled())
-            eventq().deschedule(&tx.timer);
-    } else {
-        armUpTxTimer(ack.channel);
-    }
-}
-
-void
-PcieSc::retransmitUpTx(std::uint16_t channel, std::uint64_t fromSeq)
-{
-    TxChannel &tx = upTx_[channel];
-    // A burst of NAKs (one per packet behind the gap) must trigger
-    // one go-back-N, not one resend-storm per NAK.
-    if (tx.lastGoBack != 0 &&
-        curTick() - tx.lastGoBack < pcie::kRetransmitGap)
-        return;
-    tx.lastGoBack = curTick();
-    std::uint64_t n = 0;
-    for (const auto &p : tx.unacked) {
-        if (p->seqNo >= fromSeq) {
-            forward(p, true, 0);
-            ++n;
-        }
-    }
-    if (n) {
-        tx.dirty = true;
-        s_.transportRetransmits.inc(n);
-        if (tracer_->enabled())
-            tracer_->instant(traceTrack(), "arq.up_go_back_n",
-                             curTick());
-    }
-}
-
-void
-PcieSc::armUpTxTimer(std::uint16_t channel)
-{
-    TxChannel &tx = upTx_[channel];
-    if (!tx.timerInit) {
-        tx.timer.setCallback([this, channel] { onUpTxTimeout(channel); },
-                             "sc-uptx-timeout");
-        tx.timerInit = true;
-    }
-    Tick timeout = pcie::retryTimeout(pcie::kAckTimeout, tx.attempts);
-    eventq().rescheduleIn(&tx.timer, timeout);
-}
-
-void
-PcieSc::onUpTxTimeout(std::uint16_t channel)
-{
-    auto it = upTx_.find(channel);
-    if (it == upTx_.end())
-        return;
-    TxChannel &tx = it->second;
-    if (tx.unacked.empty())
-        return;
-    if (tx.attempts >= pcie::kMaxRetries) {
-        s_.faultsFatal.inc(tx.unacked.size());
-        warnRateLimited(
-            "sc-uptx-exhausted",
-            "%s: upstream channel %u exhausted its retry budget "
-            "(%zu packets abandoned)",
-            name().c_str(), unsigned(channel),
-            tx.unacked.size());
-        tx.unacked.clear();
-        tx.attempts = 0;
-        tx.dirty = false;
-        return;
-    }
-    ++tx.attempts;
-    tx.dirty = true;
-    s_.transportTimeoutRetransmits.inc();
-    if (tracer_->enabled())
-        tracer_->instant(traceTrack(), "arq.up_timeout_retx",
-                         curTick());
-    for (const auto &p : tx.unacked)
-        forward(p, true, 0);
-    armUpTxTimer(channel);
+    tx.track(tlp); // the ack timer is armed after the forward
 }
 
 void
@@ -1181,7 +1073,7 @@ PcieSc::reset()
     pendingSensitiveReads_.clear();
     recentCompleted_.clear();
     upTx_.clear();
-    rxSeqDown_.clear();
+    rxDown_.clear();
     upBusyUntil_ = 0;
     downBusyUntil_ = 0;
     hung_ = false;

@@ -17,9 +17,12 @@
  * its A3-signed kControl write; the session latches that bit.
  *
  * The secure path always runs the end-to-end ARQ of
- * pcie/transport.hh: the downstream receive gate (NAK/re-ack), the
- * upstream per-tenant channels and the sensitive-read re-request
- * timers, all under the constant retry policy declared there.
+ * pcie/transport.hh: the downstream receive gate, one upstream
+ * sender per tenant, and the sensitive-read re-request timers, all
+ * under the constant retry policy declared there. A downstream
+ * channel is bound to its requester ID, and no device-side TLP may
+ * arrive already stamped: both are dropped unacknowledged and counted
+ * as transport_bad_channel.
  */
 
 #ifndef CCAI_SC_PCIE_SC_HH
@@ -46,13 +49,14 @@
 namespace ccai::sc
 {
 
+/** Store-and-forward latency for pass-through packets. */
+constexpr Tick kForwardLatency = 150 * kTicksPerNs;
+
 /** Configuration knobs of the controller. */
 struct PcieScConfig
 {
     FilterTiming filterTiming;
     EngineTiming engineTiming;
-    /** Store-and-forward latency for pass-through packets. */
-    Tick forwardLatency = 150 * kTicksPerNs;
     /** Records accumulated before an automatic batch flush. */
     std::uint32_t metaBatchSize = 32;
     /**
@@ -130,7 +134,6 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
 
     PacketFilter &filter() { return filter_; }
     EnvGuard &envGuard() { return envGuard_; }
-    AuthTagManager &tagManager() { return tagMgr_; }
     obs::MetricGroup &stats() { return stats_; }
     obs::MetricGroup *statGroup() override { return &stats_; }
 
@@ -202,19 +205,6 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
         std::unique_ptr<sim::EventFunctionWrapper> timer;
     };
 
-    /** Upstream ARQ sender state, one channel per tenant. */
-    struct TxChannel
-    {
-        std::uint64_t nextSeq = 1;
-        std::deque<pcie::TlpPtr> unacked;
-        int attempts = 0;       ///< consecutive ack timeouts
-        bool dirty = false;     ///< a retransmission is in flight
-        /** Owned ack timer, re-armed in place (no allocation). */
-        sim::EventFunctionWrapper timer;
-        bool timerInit = false;
-        Tick lastGoBack = 0;    ///< NAK retransmit rate limiting
-    };
-
     TenantSession *session(std::uint16_t tenantRaw);
     TenantSession *sessionCoveringD2h(Addr addr);
 
@@ -241,25 +231,22 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     void handleChunkRetry(TenantSession &tenant, std::uint64_t chunkId);
 
     // End-to-end transport (retry/ARQ) plumbing.
-    /** In-order admit gate for ackRequired downstream TLPs. */
+    /**
+     * In-order admit gate for ackRequired downstream TLPs: the
+     * channel must be the requester's own, and A3 traffic must pass
+     * its MAC before the gate accepts it.
+     */
     bool transportAdmitDown(const pcie::TlpPtr &tlp,
                             backend::SecurityAction action);
-    void sendDownAck(std::uint16_t channel, std::uint64_t seq,
-                     bool nak);
     /** Stamp an upstream TLP onto a tenant channel and send it. */
     void sendUpstreamArq(std::uint16_t channel, const pcie::TlpPtr &tlp,
                          Tick delay);
-    void handleUpstreamAck(const pcie::TransportAck &ack);
-    void retransmitUpTx(std::uint16_t channel, std::uint64_t fromSeq);
-    void armUpTxTimer(std::uint16_t channel);
-    void onUpTxTimeout(std::uint16_t channel);
     void armSensitiveReadTimer(std::uint8_t tag);
     void onSensitiveReadDeadline(std::uint8_t tag);
 
     PcieScConfig config_;
     PacketFilter filter_;
     AesGcmShaEngine gcmEngine_;
-    AuthTagManager tagMgr_;
     EnvGuard envGuard_;
 
     pcie::Link *up_ = nullptr;
@@ -279,11 +266,6 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
      * decrypted copy and feed ciphertext to the device.
      */
     std::set<std::uint8_t> recentCompleted_;
-
-    /** Upstream ARQ channels, keyed by tenant requester ID. */
-    std::map<std::uint16_t, TxChannel> upTx_;
-    /** Highest in-order seqNo accepted per downstream ARQ channel. */
-    std::map<std::uint16_t, std::uint64_t> rxSeqDown_;
 
     /** Per-direction egress FIFO points. */
     Tick upBusyUntil_ = 0;
@@ -339,13 +321,10 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
         obs::CounterHandle unknownOwnWrites;
         obs::CounterHandle d2hReplays;
         obs::CounterHandle d2hReplayMisses;
-        obs::CounterHandle transportRxDuplicates;
-        obs::CounterHandle transportRxOoo;
-        obs::CounterHandle transportRxAccepted;
-        obs::CounterHandle transportAcksSent;
-        obs::CounterHandle transportNaksSent;
-        obs::CounterHandle transportRetransmits;
-        obs::CounterHandle transportTimeoutRetransmits;
+        /** ackRequired TLPs dropped for a channel their sender may
+         * not use: a downstream channel that is not the requester's
+         * ID, or any device-side TLP that arrives stamped. */
+        obs::CounterHandle transportBadChannel;
         /**
          * Per-reason blocked-packet counters, indexed by
          * BlockReason and exported as blocked_<reason> (the
@@ -360,6 +339,13 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
         obs::HistogramHandle a2UpCryptTicks;
         obs::HistogramHandle forwardQueueTicks;
     } s_;
+
+    /** Counters shared by the upstream senders. */
+    pcie::ArqSenderStats upArqStats_;
+    /** Upstream ARQ senders, one per tenant requester ID. */
+    std::map<std::uint16_t, pcie::ArqSender> upTx_;
+    /** Downstream receive gate of every tenant's channel. */
+    pcie::ArqReceiver rxDown_;
 
     obs::Tracer *tracer_;
     obs::TrackId track_ = obs::kNoTrack;

@@ -287,8 +287,6 @@ class EventQueue
     std::uint64_t statScheduled() const { return stats_.scheduled; }
     std::uint64_t statDispatched() const { return stats_.dispatched; }
     std::uint64_t statCancelled() const { return stats_.cancelled; }
-    std::uint64_t statCascades() const { return stats_.cascades; }
-    std::uint64_t statMaxPending() const { return stats_.maxPending; }
     std::uint64_t oneShotCapacity() const
     {
         return slabs_.size() * kSlabSize;

@@ -15,9 +15,6 @@ using backend::ChunkRecord;
 Adaptor::Handles::Handles(obs::MetricGroup &g)
     : faultsRecovered(g.counterHandle("faults_recovered")),
       faultsFatal(g.counterHandle("faults_fatal")),
-      transportRetransmits(g.counterHandle("transport_retransmits")),
-      transportTimeoutRetransmits(
-          g.counterHandle("transport_timeout_retransmits")),
       policyUpdates(g.counterHandle("policy_updates")),
       signedWrites(g.counterHandle("signed_writes")),
       h2dChunks(g.counterHandle("h2d_chunks")),
@@ -45,129 +42,31 @@ Adaptor::Handles::Handles(obs::MetricGroup &g)
 {}
 
 Adaptor::Adaptor(sim::System &sys, std::string name, Tvm &tvm,
-                 const AdaptorConfig &config,
-                 const AdaptorTiming &timing)
+                 const AdaptorConfig &config)
     : sim::SimObject(sys, std::move(name)), tvm_(tvm), config_(config),
-      timing_(timing), stats_(sys.metrics(), this->name()),
-      s_(stats_), tracer_(&sys.tracer())
+      stats_(sys.metrics(), this->name()), s_(stats_),
+      arq_(*this, tvm.bdf().raw(),
+           [this](const pcie::TlpPtr &tlp) {
+               tvm_.rootComplex().sendWrite(tlp);
+           },
+           pcie::ArqSenderStats(stats_), "arq."),
+      tracer_(&sys.tracer())
 {
     // Consume transport acks for this tenant's ARQ channel.
     tvm_.rootComplex().addTransportHandler(
         tvm_.bdf().raw(),
-        [this](const pcie::TransportAck &ack) {
-            handleTransportAck(ack);
-        });
+        [this](const pcie::TransportAck &ack) { arq_.onAck(ack); });
 }
 
 void
 Adaptor::sendTransported(pcie::Tlp tlp, bool sign)
 {
-    tlp.seqNo = nextSeqNo_++;
-    tlp.ackRequired = true;
-    tlp.txChannel = tvm_.bdf().raw();
+    arq_.stamp(tlp);
     if (sign && signer_.hasKey())
         tlp.integrityTag = signer_.computeMac(tlp);
     auto ptr = std::make_shared<pcie::Tlp>(std::move(tlp));
-    txUnacked_.push_back(ptr);
-    if (txUnacked_.size() == 1)
-        armTxTimer();
+    arq_.track(ptr); // the ack timer is armed before the send
     tvm_.rootComplex().sendWrite(ptr);
-}
-
-void
-Adaptor::handleTransportAck(const pcie::TransportAck &ack)
-{
-    if (ack.nak) {
-        goBackN(ack.seq);
-        return;
-    }
-    std::size_t before = txUnacked_.size();
-    while (!txUnacked_.empty() &&
-           txUnacked_.front()->seqNo <= ack.seq) {
-        txUnacked_.pop_front();
-    }
-    std::size_t popped = before - txUnacked_.size();
-    if (popped == 0)
-        return; // stale cumulative ack
-    if (txDirty_)
-        s_.faultsRecovered.inc(popped);
-    txAttempts_ = 0;
-    if (txUnacked_.empty()) {
-        txDirty_ = false;
-        retireTxTimer();
-    } else {
-        armTxTimer();
-    }
-}
-
-void
-Adaptor::goBackN(std::uint64_t fromSeq)
-{
-    // One go-back-N round per gap, not one per NAK behind the gap.
-    if (lastGoBack_ != 0 &&
-        curTick() - lastGoBack_ < pcie::kRetransmitGap)
-        return;
-    lastGoBack_ = curTick();
-    std::uint64_t n = 0;
-    for (const auto &p : txUnacked_) {
-        if (p->seqNo >= fromSeq) {
-            tvm_.rootComplex().sendWrite(p);
-            ++n;
-        }
-    }
-    if (n) {
-        txDirty_ = true;
-        s_.transportRetransmits.inc(n);
-        if (tracer_->enabled())
-            tracer_->instant(traceTrack(), "arq.go_back_n", curTick());
-    }
-}
-
-void
-Adaptor::armTxTimer()
-{
-    if (!txTimerInit_) {
-        txTimer_.setCallback([this] { onTxTimeout(); },
-                             "adaptor-tx-timeout");
-        txTimerInit_ = true;
-    }
-    Tick timeout = pcie::retryTimeout(pcie::kAckTimeout, txAttempts_);
-    eventq().rescheduleIn(&txTimer_, timeout);
-}
-
-void
-Adaptor::retireTxTimer()
-{
-    if (txTimer_.scheduled())
-        eventq().deschedule(&txTimer_);
-}
-
-void
-Adaptor::onTxTimeout()
-{
-    if (txUnacked_.empty())
-        return;
-    if (txAttempts_ >= pcie::kMaxRetries) {
-        s_.faultsFatal.inc(txUnacked_.size());
-        warnRateLimited(
-            "adaptor-tx-exhausted",
-            "%s: %zu transported writes exhausted the retry "
-            "budget",
-            name().c_str(), txUnacked_.size());
-        txUnacked_.clear();
-        txAttempts_ = 0;
-        txDirty_ = false;
-        return;
-    }
-    ++txAttempts_;
-    txDirty_ = true;
-    s_.transportTimeoutRetransmits.inc();
-    if (tracer_->enabled())
-        tracer_->instant(traceTrack(), "arq.timeout_retx",
-                         curTick());
-    for (const auto &p : txUnacked_)
-        tvm_.rootComplex().sendWrite(p);
-    armTxTimer();
 }
 
 void
@@ -199,14 +98,9 @@ Adaptor::establishSession(const Bytes &sessionSecret)
                                            "ccai-adaptor-drbg");
     // A (re-)established session starts a fresh ARQ conversation:
     // the SC resets its per-tenant receive gate in establishTenant,
-    // so the sender window must restart at seqNo 1 or every write
-    // of the new session would be NAKed as out-of-order.
-    nextSeqNo_ = 1;
-    txUnacked_.clear();
-    txAttempts_ = 0;
-    txDirty_ = false;
-    retireTxTimer();
-    lastGoBack_ = 0;
+    // so the sender must restart at seqNo 1 or every write of the
+    // new session would be NAKed as out-of-order.
+    arq_.restart();
     ++sessionEpoch_;
     // The controller resets the tenant's completion ring in
     // establishTenant; mirror the consumed index here or the first
@@ -225,11 +119,7 @@ Adaptor::abortSession()
     drbg_.reset();
     // Unacked writes belong to the dead session; replaying them
     // under a new session would be rejected (stale MACs) anyway.
-    txUnacked_.clear();
-    txAttempts_ = 0;
-    txDirty_ = false;
-    retireTxTimer();
-    lastGoBack_ = 0;
+    arq_.dropWindow();
     ++sessionEpoch_;
 }
 
@@ -292,8 +182,8 @@ Adaptor::writeSigned(Addr addr, Bytes data)
 Tick
 Adaptor::cryptoDelay(std::uint64_t bytes) const
 {
-    double rate = (config_.hardwareCrypto ? timing_.aesNiBytesPerSec
-                                          : timing_.softAesBytesPerSec) *
+    double rate = (config_.hardwareCrypto ? kAesNiBytesPerSec
+                                          : kSoftAesBytesPerSec) *
                   std::max(1, config_.cryptoThreads);
     return secondsToTicks(bytes / rate);
 }
@@ -335,8 +225,7 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
     Addr bounce = allocBounce(config_.h2dWindow, h2dCursor_, length);
     std::uint64_t chunks =
         (length + config_.chunkBytes - 1) / config_.chunkBytes;
-    std::uint64_t subtasks =
-        (length + config_.subtaskBytes - 1) / config_.subtaskBytes;
+    std::uint64_t subtasks = (length + kSubtaskBytes - 1) / kSubtaskBytes;
 
     // CPU cost: en/decryption plus per-chunk bookkeeping; the
     // non-optimized design pays per-subtask overhead as well.
@@ -348,11 +237,11 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
     // like the crypto itself; only the serial notify path stays
     // per-thread.
     const int width = std::max(1, config_.cryptoThreads);
-    Tick cpu = timing_.perChunkSetup * chunks / width;
+    Tick cpu = kPerChunkSetup * chunks / width;
     if (!scTerminated)
         cpu += cryptoDelay(length);
     if (!config_.batchNotify)
-        cpu += timing_.perSubtaskOverhead * subtasks;
+        cpu += kPerSubtaskOverhead * subtasks;
     s_.h2dCpuTicks.sample(cpu);
 
     runOnCpu(cpu, [this, t0, data = std::move(data), length, bounce,
@@ -592,7 +481,7 @@ Adaptor::finishCollect(std::shared_ptr<CollectState> st)
     // scale with cryptoThreads; the slot-drain stall is a device
     // round trip and the notify writes are MMIO — both stay serial.
     const int width = std::max(1, config_.cryptoThreads);
-    Tick cpu = timing_.perChunkSetup * st->recs.size() / width;
+    Tick cpu = kPerChunkSetup * st->recs.size() / width;
     if (!st->scTerminated) {
         cpu += cryptoDelay(st->length);
         // Collections larger than the staging slot stall the device
@@ -601,13 +490,12 @@ Adaptor::finishCollect(std::shared_ptr<CollectState> st)
             (st->length + config_.d2hSlotBytes - 1) /
             config_.d2hSlotBytes;
         if (passes > 1)
-            cpu += (passes - 1) * timing_.slotDrainStall;
+            cpu += (passes - 1) * kSlotDrainStall;
     }
     if (!config_.batchNotify) {
         std::uint64_t subtasks =
-            (st->length + config_.subtaskBytes - 1) /
-            config_.subtaskBytes;
-        cpu += timing_.perSubtaskOverhead * subtasks;
+            (st->length + kSubtaskBytes - 1) / kSubtaskBytes;
+        cpu += kPerSubtaskOverhead * subtasks;
     }
     if (!st->scTerminated)
         cpu += tvm_.memcpyDelay(st->length) / width; // bounce -> private
@@ -886,7 +774,7 @@ Adaptor::refreshPolicy(DoneCb done)
     pktFilterManage(*policy_);
     // The controller needs time to rebuild the double-buffered rule
     // tables before the request's transfers may proceed.
-    runOnCpu(timing_.policyInstallLatency, std::move(done),
+    runOnCpu(kPolicyInstallLatency, std::move(done),
              "policy.install");
 }
 
@@ -911,15 +799,10 @@ Adaptor::reset()
     drbg_.reset();
     h2dCursor_ = d2hCursor_ = 0;
     nextChunkId_ = 1;
-    nextSeqNo_ = 1;
     metaHead_ = 0;
     metaPending_.clear();
     cpuBusyUntil_ = 0;
-    txUnacked_.clear();
-    txAttempts_ = 0;
-    txDirty_ = false;
-    retireTxTimer();
-    lastGoBack_ = 0;
+    arq_.restart();
     ++sessionEpoch_; // retire queued CPU continuations
     stats_.reset();
 }

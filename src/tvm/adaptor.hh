@@ -23,7 +23,6 @@
 #ifndef CCAI_TVM_ADAPTOR_HH
 #define CCAI_TVM_ADAPTOR_HH
 
-#include <deque>
 #include <functional>
 #include <optional>
 
@@ -58,8 +57,6 @@ struct AdaptorConfig
 
     /** Bounce-buffer chunk granularity. */
     std::uint64_t chunkBytes = 256 * kKiB;
-    /** Subtask granularity of the non-optimized design. */
-    std::uint64_t subtaskBytes = 4 * kKiB;
     /**
      * D2H staging-slot size: when one collection exceeds the slot,
      * the device must wait for the Adaptor to drain it before
@@ -93,30 +90,32 @@ struct AdaptorConfig
     }
 };
 
-/** CPU-side crypto/copy timing of the Adaptor. */
-struct AdaptorTiming
-{
-    /** AES-NI throughput per thread (bytes/s). */
-    double aesNiBytesPerSec = 4.5e9;
-    /** Software AES throughput per thread (bytes/s). */
-    double softAesBytesPerSec = 0.40e9;
-    /** Fixed CPU cost per chunk (record build, IV, bookkeeping). */
-    Tick perChunkSetup = 400 * kTicksPerNs;
-    /** Extra CPU cost per subtask in the non-optimized design. */
-    Tick perSubtaskOverhead = 700 * kTicksPerNs;
-    /**
-     * Latency for the PCIe-SC to rebuild its rule tables after an
-     * encrypted policy update (FPGA table install). Paid once per
-     * request when the per-request bounce windows are refreshed.
-     */
-    Tick policyInstallLatency = 900 * kTicksPerUs;
-    /**
-     * Pipeline stall per extra D2H slot pass (device blocked on the
-     * Adaptor draining the staging slot: slot decrypt + doorbell
-     * round trip).
-     */
-    Tick slotDrainStall = 100 * kTicksPerUs;
-};
+/*
+ * CPU-side crypto/copy timing of the Adaptor.
+ */
+
+/** AES-NI throughput per thread (bytes/s). */
+constexpr double kAesNiBytesPerSec = 4.5e9;
+/** Software AES throughput per thread (bytes/s). */
+constexpr double kSoftAesBytesPerSec = 0.40e9;
+/** Fixed CPU cost per chunk (record build, IV, bookkeeping). */
+constexpr Tick kPerChunkSetup = 400 * kTicksPerNs;
+/** Subtask granularity of the non-optimized design. */
+constexpr std::uint64_t kSubtaskBytes = 4 * kKiB;
+/** Extra CPU cost per subtask in the non-optimized design. */
+constexpr Tick kPerSubtaskOverhead = 700 * kTicksPerNs;
+/**
+ * Latency for the PCIe-SC to rebuild its rule tables after an
+ * encrypted policy update (FPGA table install). Paid once per
+ * request when the per-request bounce windows are refreshed.
+ */
+constexpr Tick kPolicyInstallLatency = 900 * kTicksPerUs;
+/**
+ * Pipeline stall per extra D2H slot pass (device blocked on the
+ * Adaptor draining the staging slot: slot decrypt + doorbell
+ * round trip).
+ */
+constexpr Tick kSlotDrainStall = 100 * kTicksPerUs;
 
 /**
  * The Adaptor kernel module.
@@ -128,8 +127,7 @@ class Adaptor : public sim::SimObject
     using DataCb = std::function<void(Bytes)>;
 
     Adaptor(sim::System &sys, std::string name, Tvm &tvm,
-            const AdaptorConfig &config = {},
-            const AdaptorTiming &timing = {});
+            const AdaptorConfig &config = {});
 
     /**
      * hw_init: reset interaction state with the PCIe-SC and send the
@@ -266,11 +264,6 @@ class Adaptor : public sim::SimObject
      * verification).
      */
     void sendTransported(pcie::Tlp tlp, bool sign);
-    void handleTransportAck(const pcie::TransportAck &ack);
-    void goBackN(std::uint64_t fromSeq);
-    void armTxTimer();
-    void onTxTimeout();
-    void retireTxTimer();
 
     void fetchForCollect(std::shared_ptr<CollectState> st);
     void finishCollect(std::shared_ptr<CollectState> st);
@@ -290,7 +283,6 @@ class Adaptor : public sim::SimObject
 
     Tvm &tvm_;
     AdaptorConfig config_;
-    AdaptorTiming timing_;
 
     std::unique_ptr<trust::WorkloadKeyManager> keys_;
     backend::SignIntegrityEngine signer_; ///< A3 MAC computation
@@ -301,7 +293,6 @@ class Adaptor : public sim::SimObject
     Addr h2dCursor_ = 0;
     Addr d2hCursor_ = 0;
     std::uint64_t nextChunkId_ = 1;
-    std::uint64_t nextSeqNo_ = 1;
     /** Completion ring: absolute consumed-record index (mirrors the
      * controller's metaHead; posted back via screg::kRingHead). */
     std::uint64_t metaHead_ = 0;
@@ -314,15 +305,6 @@ class Adaptor : public sim::SimObject
      */
     std::vector<backend::ChunkRecord> metaPending_;
     Tick cpuBusyUntil_ = 0;
-
-    /** Downstream ARQ sender window (writes awaiting the SC's ack). */
-    std::deque<pcie::TlpPtr> txUnacked_;
-    int txAttempts_ = 0;
-    bool txDirty_ = false; ///< a retransmission is in flight
-    /** Owned ack timer, re-armed in place (no allocation). */
-    sim::EventFunctionWrapper txTimer_;
-    bool txTimerInit_ = false;
-    Tick lastGoBack_ = 0;
 
     /**
      * Bumped on every establishSession()/abortSession(). CPU-side
@@ -347,8 +329,6 @@ class Adaptor : public sim::SimObject
 
         obs::CounterHandle faultsRecovered;
         obs::CounterHandle faultsFatal;
-        obs::CounterHandle transportRetransmits;
-        obs::CounterHandle transportTimeoutRetransmits;
         obs::CounterHandle policyUpdates;
         obs::CounterHandle signedWrites;
         obs::CounterHandle h2dChunks;
@@ -377,6 +357,9 @@ class Adaptor : public sim::SimObject
         obs::HistogramHandle h2dPrepareTicks; ///< prepareH2d e2e
         obs::HistogramHandle d2hCollectTicks; ///< collectD2h e2e
     } s_;
+
+    /** Downstream ARQ channel (writes awaiting the SC's ack). */
+    pcie::ArqSender arq_;
 
     obs::Tracer *tracer_;
     obs::TrackId track_ = obs::kNoTrack;

@@ -83,8 +83,6 @@ Runtime::memcpyH2DPiece(Addr devAddr, std::optional<Bytes> data,
                         std::uint64_t length, DoneCb done,
                         TransferKind kind)
 {
-    bytesH2d_ += length;
-
     auto submit_dma = [this, devAddr, length,
                        synthetic = !data.has_value(),
                        done = std::move(done)](Addr hostAddr) {
@@ -164,8 +162,6 @@ void
 Runtime::memcpyD2HPiece(Addr devAddr, std::uint64_t length,
                         bool synthetic, DataCb done, TransferKind kind)
 {
-    bytesD2h_ += length;
-
     if (mode_ == RuntimeMode::Secure) {
         Addr bounce = adaptor_->allocD2hBounce(length);
         xpu::XpuCommand cmd;
@@ -251,8 +247,6 @@ void
 Runtime::reset()
 {
     stagingCursor_ = 0;
-    bytesH2d_ = 0;
-    bytesD2h_ = 0;
 }
 
 } // namespace ccai::tvm

@@ -107,10 +107,6 @@ class Runtime : public sim::SimObject
     /** Block until all queued work retired. */
     void synchronize(DoneCb done);
 
-    /** Total H2D/D2H bytes moved (stats). */
-    std::uint64_t bytesH2d() const { return bytesH2d_; }
-    std::uint64_t bytesD2h() const { return bytesD2h_; }
-
     void reset() override;
 
   private:
@@ -148,8 +144,6 @@ class Runtime : public sim::SimObject
     Adaptor *adaptor_;
     const backend::ProtectionBackend *protection_ = nullptr;
     Addr stagingCursor_ = 0;
-    std::uint64_t bytesH2d_ = 0;
-    std::uint64_t bytesD2h_ = 0;
 };
 
 } // namespace ccai::tvm

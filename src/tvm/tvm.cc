@@ -8,9 +8,8 @@ namespace ccai::tvm
 namespace mm = pcie::memmap;
 
 Tvm::Tvm(sim::System &sys, std::string name, pcie::RootComplex &rc,
-         pcie::Bdf bdf, const TvmTiming &timing)
-    : sim::SimObject(sys, std::move(name)), rc_(rc), bdf_(bdf),
-      timing_(timing)
+         pcie::Bdf bdf)
+    : sim::SimObject(sys, std::move(name)), rc_(rc), bdf_(bdf)
 {
     // Per-tenant vector for interrupts steered at this TVM's ID,
     // plus — for the first TVM on the root — the default handler
@@ -57,7 +56,7 @@ Tvm::handleMsi(const pcie::TlpPtr &)
     }
     auto cb = std::move(irqWaiters_.front());
     irqWaiters_.erase(irqWaiters_.begin());
-    eventq().scheduleIn(timing_.interruptOverhead, std::move(cb));
+    eventq().scheduleIn(kInterruptOverhead, std::move(cb));
 }
 
 void
@@ -83,7 +82,7 @@ Tvm::configureIommu(bool secure)
 Tick
 Tvm::memcpyDelay(std::uint64_t bytes) const
 {
-    return secondsToTicks(bytes / timing_.memcpyBytesPerSec);
+    return secondsToTicks(bytes / kMemcpyBytesPerSec);
 }
 
 void

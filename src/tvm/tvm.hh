@@ -19,16 +19,10 @@
 namespace ccai::tvm
 {
 
-/**
- * CPU-side timing parameters of the TVM.
- */
-struct TvmTiming
-{
-    /** Private<->shared memory copy bandwidth (bytes/s). */
-    double memcpyBytesPerSec = 12.0e9;
-    /** Cost of fielding one interrupt. */
-    Tick interruptOverhead = 2 * kTicksPerUs;
-};
+/** Private<->shared memory copy bandwidth of the TVM (bytes/s). */
+constexpr double kMemcpyBytesPerSec = 12.0e9;
+/** CPU cost of fielding one interrupt. */
+constexpr Tick kInterruptOverhead = 2 * kTicksPerUs;
 
 /**
  * The TVM wraps the root complex with a guest-visible interface:
@@ -39,13 +33,11 @@ class Tvm : public sim::SimObject
 {
   public:
     Tvm(sim::System &sys, std::string name, pcie::RootComplex &rc,
-        pcie::Bdf bdf = pcie::wellknown::kTvm,
-        const TvmTiming &timing = {});
+        pcie::Bdf bdf = pcie::wellknown::kTvm);
 
     pcie::Bdf bdf() const { return bdf_; }
     pcie::RootComplex &rootComplex() { return rc_; }
     pcie::HostMemory &memory() { return rc_.memory(); }
-    const TvmTiming &timing() const { return timing_; }
 
     /** Posted MMIO write of raw bytes. */
     void mmioWrite(Addr addr, Bytes data);
@@ -82,7 +74,6 @@ class Tvm : public sim::SimObject
 
     pcie::RootComplex &rc_;
     pcie::Bdf bdf_;
-    TvmTiming timing_;
     std::vector<std::function<void()>> irqWaiters_;
 };
 

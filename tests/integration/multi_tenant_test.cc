@@ -33,6 +33,29 @@ class MultiTenantTest : public ::testing::Test
         tenantB = &platform->addTenant(kTenantB);
     }
 
+    /** Tenant A's 64 KiB H2D + D2H round trip must return its data. */
+    void
+    roundTripA(std::uint64_t seed)
+    {
+        sim::Rng rng(seed);
+        Bytes data = rng.bytes(64 * kKiB);
+        Bytes got;
+        platform->runtime().memcpyH2D(
+            mm::kXpuVram.base, data, data.size(), [&] {
+                platform->runtime().memcpyD2H(
+                    mm::kXpuVram.base, data.size(), false,
+                    [&](Bytes d) { got = std::move(d); });
+            });
+        platform->run();
+        EXPECT_EQ(got, data);
+    }
+
+    std::uint64_t
+    scCounter(const char *name)
+    {
+        return platform->pcieSc()->stats().counterHandle(name).value();
+    }
+
     std::unique_ptr<Platform> platform;
     Platform::Tenant *tenantB = nullptr;
 };
@@ -179,6 +202,50 @@ TEST_F(MultiTenantTest, TenantSignedWriteRejectedUnderWrongKey)
     EXPECT_EQ(platform->xpu().stats().counterHandle("doorbell_empty")
                   .value(),
               0u);
+}
+
+TEST_F(MultiTenantTest, CoTenantCannotAdvancePeerArqChannel)
+{
+    // Tenant B stamps its own unsigned rule-table writes with A's
+    // ARQ channel and the seqNos A will use next. The SC binds each
+    // channel to its requester ID and drops them unacknowledged; had
+    // it taken them, A's own writes would be discarded as duplicates.
+    for (std::uint64_t seq = 1; seq <= 400; ++seq) {
+        Tlp tlp = Tlp::makeMemWrite(kTenantB, mm::kScRuleTable.base,
+                                    Bytes(8, 0));
+        tlp.ackRequired = true;
+        tlp.txChannel = wellknown::kTvm.raw();
+        tlp.seqNo = seq;
+        platform->rootComplex().sendWrite(std::move(tlp));
+    }
+    platform->run();
+    EXPECT_EQ(scCounter("transport_bad_channel"), 400u);
+
+    roundTripA(5);
+    EXPECT_EQ(scCounter("transport_bad_channel"), 400u);
+    EXPECT_EQ(scCounter("faults_fatal"), 0u);
+}
+
+TEST_F(MultiTenantTest, DeviceCannotStampTenantArqChannel)
+{
+    // The device sends messages already stamped onto A's upstream
+    // channel. Only the SC may stamp a tenant channel; had these
+    // reached the root complex, A's results would be discarded there
+    // as duplicates.
+    for (std::uint64_t seq = 1; seq <= 400; ++seq) {
+        auto msg = std::make_shared<Tlp>(
+            Tlp::makeMessage(wellknown::kXpu, MsgCode::VendorDefined));
+        msg->ackRequired = true;
+        msg->txChannel = wellknown::kTvm.raw();
+        msg->seqNo = seq;
+        platform->pcieSc()->receiveTlp(msg, &platform->xpu());
+    }
+    platform->run();
+    EXPECT_EQ(scCounter("transport_bad_channel"), 400u);
+
+    roundTripA(6);
+    EXPECT_EQ(scCounter("transport_bad_channel"), 400u);
+    EXPECT_EQ(scCounter("faults_fatal"), 0u);
 }
 
 TEST_F(MultiTenantTest, EndingOneTenantKeepsTheOtherRunning)

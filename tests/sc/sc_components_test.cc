@@ -191,44 +191,6 @@ TEST(DecryptParamsManager, MultipleChunksResolveCorrectly)
     EXPECT_EQ(mgr.pending(), 3u);
 }
 
-TEST(AuthTagManager, MatchConsumesTag)
-{
-    AuthTagManager mgr;
-    mgr.enqueueTag(7, Bytes(16, 0xaa));
-    EXPECT_EQ(mgr.queued(), 1u);
-    auto tag = mgr.matchTag(7);
-    ASSERT_TRUE(tag.has_value());
-    EXPECT_EQ(*tag, Bytes(16, 0xaa));
-    EXPECT_FALSE(mgr.matchTag(7).has_value());
-}
-
-TEST(AuthTagManager, VerifyHappyAndTamperPaths)
-{
-    sim::Rng rng(6);
-    crypto::AesGcm cipher(rng.bytes(16));
-    Bytes iv = rng.bytes(12);
-    Bytes pt = rng.bytes(100);
-    auto sealed = cipher.seal(iv, pt);
-
-    AuthTagManager mgr;
-    mgr.enqueueTag(1, sealed.tag);
-    Bytes out;
-    EXPECT_TRUE(mgr.verify(cipher, 1, iv, sealed.ciphertext, {}, &out));
-    EXPECT_EQ(out, pt);
-
-    // Missing tag.
-    EXPECT_FALSE(
-        mgr.verify(cipher, 1, iv, sealed.ciphertext, {}, nullptr));
-    EXPECT_EQ(mgr.failures(), 1u);
-
-    // Tampered ciphertext.
-    mgr.enqueueTag(2, sealed.tag);
-    Bytes bad = sealed.ciphertext;
-    bad[0] ^= 1;
-    EXPECT_FALSE(mgr.verify(cipher, 2, iv, bad, {}, nullptr));
-    EXPECT_EQ(mgr.failures(), 2u);
-}
-
 // ---------------------------------------------------------------------
 // Engines
 // ---------------------------------------------------------------------

@@ -85,8 +85,7 @@ HostMemory::pageFor(Addr addr, bool allocate)
         return it->second.get();
     if (!allocate)
         return nullptr;
-    auto page = std::make_unique<std::uint8_t[]>(kPageSize);
-    std::memset(page.get(), 0, kPageSize);
+    auto page = std::make_unique<std::uint8_t[]>(kPageSize); // zeroed
     std::uint8_t *raw = page.get();
     pages_.emplace(pfn, std::move(page));
     return raw;
@@ -100,52 +99,66 @@ HostMemory::pageFor(Addr addr) const
     return it != pages_.end() ? it->second.get() : nullptr;
 }
 
+const std::uint8_t *
+HostMemory::segment(Addr addr, std::uint64_t len,
+                    std::uint64_t &take) const
+{
+    if (const Arena *a = arenaFor(addr)) {
+        take = std::min<std::uint64_t>(a->base + a->size - addr, len);
+        return a->mem.get() + (addr - a->base);
+    }
+    std::uint64_t in_page = addr % kPageSize;
+    take = std::min<std::uint64_t>(kPageSize - in_page, len);
+    const std::uint8_t *page = pageFor(addr);
+    return page ? page + in_page : nullptr;
+}
+
 void
 HostMemory::write(Addr addr, const Bytes &data)
 {
-    std::uint64_t off = 0;
-    while (off < data.size()) {
+    write(addr, data.data(), data.size());
+}
+
+void
+HostMemory::write(Addr addr, const std::uint8_t *src, std::uint64_t len)
+{
+    std::uint64_t take = 0;
+    for (std::uint64_t off = 0; off < len; off += take) {
         Addr cur = addr + off;
-        if (const Arena *a = arenaFor(cur)) {
-            std::uint64_t take = std::min<std::uint64_t>(
-                a->base + a->size - cur, data.size() - off);
-            std::memcpy(a->mem.get() + (cur - a->base),
-                        data.data() + off, take);
-            off += take;
-            continue;
-        }
-        std::uint64_t in_page = cur % kPageSize;
-        std::uint64_t take =
-            std::min<std::uint64_t>(kPageSize - in_page,
-                                    data.size() - off);
-        std::uint8_t *page = pageFor(cur, true);
-        std::memcpy(page + in_page, data.data() + off, take);
-        off += take;
+        auto *dst = const_cast<std::uint8_t *>(segment(cur, len - off, take));
+        if (!dst)
+            dst = pageFor(cur, true) + cur % kPageSize;
+        std::memcpy(dst, src + off, take);
+    }
+}
+
+void
+HostMemory::read(Addr addr, std::uint8_t *out, std::uint64_t len) const
+{
+    std::uint64_t take = 0;
+    for (std::uint64_t off = 0; off < len; off += take) {
+        const std::uint8_t *src = segment(addr + off, len - off, take);
+        if (src)
+            std::memcpy(out + off, src, take);
+        else
+            std::memset(out + off, 0, take);
     }
 }
 
 Bytes
 HostMemory::read(Addr addr, std::uint64_t len) const
 {
-    Bytes out(len, 0);
-    std::uint64_t off = 0;
-    while (off < len) {
-        Addr cur = addr + off;
-        if (const Arena *a = arenaFor(cur)) {
-            std::uint64_t take = std::min<std::uint64_t>(
-                a->base + a->size - cur, len - off);
-            std::memcpy(out.data() + off,
-                        a->mem.get() + (cur - a->base), take);
-            off += take;
-            continue;
-        }
-        std::uint64_t in_page = cur % kPageSize;
-        std::uint64_t take =
-            std::min<std::uint64_t>(kPageSize - in_page, len - off);
-        const std::uint8_t *page = pageFor(cur);
-        if (page)
-            std::memcpy(out.data() + off, page + in_page, take);
-        off += take;
+    // Appending writes each byte once; sizing the vector up front
+    // would zero all of it before the copy.
+    Bytes out;
+    out.reserve(len);
+    std::uint64_t take = 0;
+    for (std::uint64_t off = 0; off < len; off += take) {
+        const std::uint8_t *src = segment(addr + off, len - off, take);
+        if (src)
+            out.insert(out.end(), src, src + take);
+        else
+            out.resize(out.size() + take);
     }
     return out;
 }
@@ -153,16 +166,17 @@ HostMemory::read(Addr addr, std::uint64_t len) const
 void
 HostMemory::write64(Addr addr, std::uint64_t value)
 {
-    Bytes buf(8);
-    storeLe64(buf.data(), value);
-    write(addr, buf);
+    std::uint8_t buf[8];
+    storeLe64(buf, value);
+    write(addr, buf, sizeof buf);
 }
 
 std::uint64_t
 HostMemory::read64(Addr addr) const
 {
-    Bytes buf = read(addr, 8);
-    return loadLe64(buf.data());
+    std::uint8_t buf[8];
+    read(addr, buf, sizeof buf);
+    return loadLe64(buf);
 }
 
 } // namespace ccai::pcie

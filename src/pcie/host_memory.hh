@@ -38,9 +38,17 @@ class HostMemory
 
     /** Write @p data at @p addr. */
     void write(Addr addr, const Bytes &data);
+    /** Write the @p len bytes at @p src to @p addr. */
+    void write(Addr addr, const std::uint8_t *src, std::uint64_t len);
 
     /** Read @p len bytes from @p addr (unwritten bytes read as 0). */
     Bytes read(Addr addr, std::uint64_t len) const;
+    /**
+     * Read @p len bytes from @p addr into @p out, which may hold stale
+     * bytes (a pooled buffer): every byte is written once, and only
+     * the bytes no page or arena backs are zeroed.
+     */
+    void read(Addr addr, std::uint8_t *out, std::uint64_t len) const;
 
     /** Write a little-endian 64-bit word. */
     void write64(Addr addr, std::uint64_t value);
@@ -97,6 +105,13 @@ class HostMemory
     std::uint8_t *pageFor(Addr addr, bool allocate);
     const std::uint8_t *pageFor(Addr addr) const;
     const Arena *arenaFor(Addr addr) const;
+    /**
+     * The run of at most @p len bytes from @p addr that one arena or
+     * one page holds: its bytes, or nullptr when nothing backs them.
+     * @p take receives the run's length.
+     */
+    const std::uint8_t *segment(Addr addr, std::uint64_t len,
+                                std::uint64_t &take) const;
 
     std::unordered_map<std::uint64_t, Page> pages_;
     std::vector<Arena> arenas_;

@@ -265,7 +265,8 @@ RootComplex::handleInboundRequest(const TlpPtr &tlp)
             wellknown::kRootComplex, tlp->requester, tlp->tag,
             tlp->lengthBytes));
     } else {
-        Bytes data = mem_.read(tlp->address, tlp->lengthBytes);
+        Bytes data = payloadBuffer(tlp->lengthBytes);
+        mem_.read(tlp->address, data.data(), data.size());
         cpl = std::make_shared<Tlp>(Tlp::makeCompletion(
             wellknown::kRootComplex, tlp->requester, tlp->tag,
             std::move(data)));

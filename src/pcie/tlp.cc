@@ -12,17 +12,8 @@ namespace ccai::pcie
 namespace
 {
 
-/** Payloads at least this large are copied via the buffer pool. */
+/** Payloads at least this large come from the buffer pool. */
 constexpr std::size_t kPooledPayloadBytes = 4096;
-
-/** A @p size-byte payload buffer, pooled from the copy threshold. */
-Bytes
-payloadBuffer(std::size_t size)
-{
-    if (size < kPooledPayloadBytes)
-        return Bytes(size);
-    return BufferPool::global().acquire(size);
-}
 
 Bytes
 copyPayload(const Bytes &src)
@@ -37,11 +28,21 @@ copyPayload(const Bytes &src)
 void
 retirePayload(Bytes &&buf)
 {
-    if (buf.capacity() >= BufferPool::kMinPooledBytes)
+    // The acquire threshold: a smaller buffer never came from the
+    // pool, and no payload would ever take it back out.
+    if (buf.capacity() >= kPooledPayloadBytes)
         BufferPool::global().release(std::move(buf));
 }
 
 } // namespace
+
+Bytes
+payloadBuffer(std::size_t size)
+{
+    if (size < kPooledPayloadBytes)
+        return Bytes(size);
+    return BufferPool::global().acquire(size);
+}
 
 Tlp::Tlp(const Tlp &header, Bytes payload)
     : fmt(header.fmt), type(header.type), requester(header.requester),

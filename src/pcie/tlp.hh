@@ -106,8 +106,28 @@ enum class TlpAnomaly : std::uint8_t
 const char *tlpAnomalyName(TlpAnomaly anomaly);
 
 /**
+ * A @p size-byte buffer for a TLP payload the caller fills: from
+ * BufferPool::global() at 4 KiB and up, with stale contents, and
+ * freshly allocated below that. Tlp copies draw from the same rule, and
+ * ~Tlp retires only buffers of the pooled sizes, so payloads built here
+ * (DMA read completions, device DMA writes) go back to the pool that
+ * handed them out.
+ */
+Bytes payloadBuffer(std::size_t size);
+
+/**
  * One simulated TLP. A "burst" TLP (payloadBytes > kMaxPayloadBytes)
  * stands for ceil(payloadBytes / kMaxPayloadBytes) wire packets.
+ *
+ * A sent TLP's payload is never written. Links, switches and
+ * receivers only read it, so a sender may keep the TlpPtr it sent and
+ * share it: the ARQ window retransmits it, and the PCIe-SC's D2H
+ * replay buffer re-sends its ciphertext. Whatever needs other bytes
+ * works on a copy: BusTap and the link FaultInjector copy before they
+ * tamper. The one header write after a send is the ARQ stamp (seqNo,
+ * ackRequired, txChannel) on a TLP forwarded onto a channel, so
+ * PcieSc::handleChunkRetry stamps a copy: the original still waits in
+ * the ARQ window under its own seqNo.
  */
 struct Tlp
 {

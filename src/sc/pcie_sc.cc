@@ -675,11 +675,12 @@ PcieSc::handleA2Upstream(const TlpPtr &tlp)
                     config_.dataEngineThreads);
         enc->encrypted = true;
         out = enc;
-        // Keep a pristine copy for kChunkRetry replays (wire
-        // tampering that evades the link CRC is only detected by the
-        // Adaptor's tag check, after delivery).
-        tenant->d2hReplay.emplace_back(rec.chunkId,
-                                       std::make_shared<Tlp>(*enc));
+        // Keep the sealed TLP for kChunkRetry replays (wire tampering
+        // that evades the link CRC is only detected by the Adaptor's
+        // tag check, after delivery). A sent payload is never written
+        // (tlp.hh), so sharing it with the ARQ window keeps it
+        // pristine.
+        tenant->d2hReplay.emplace_back(rec.chunkId, enc);
         if (tenant->d2hReplay.size() > kD2hReplayCap)
             tenant->d2hReplay.pop_front();
     }
@@ -950,6 +951,8 @@ PcieSc::handleChunkRetry(TenantSession &tenant, std::uint64_t chunkId)
         s_.d2hReplays.inc();
         if (tracer_->enabled())
             tracer_->instant(traceTrack(), "d2h.replay", curTick());
+        // Stamp a copy: the original still waits in the ARQ window
+        // under its own seqNo.
         auto copy = std::make_shared<Tlp>(*saved);
         sendUpstreamArq(tenant.bdfRaw, copy, gcmEngine_.tagDelay());
         return;

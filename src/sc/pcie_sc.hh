@@ -182,9 +182,9 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
         std::uint64_t nextChunkId = 1;
         std::uint16_t bdfRaw = 0;
         /**
-         * Pristine (pre-ARQ) encrypted copies of recent D2H writes,
-         * replayed when the Adaptor re-requests a chunk whose
-         * ciphertext was tampered with on the wire (kChunkRetry).
+         * Recent sealed D2H writes, the TLPs that were sent, replayed
+         * when the Adaptor re-requests a chunk whose ciphertext was
+         * tampered with on the wire (kChunkRetry).
          */
         std::deque<std::pair<std::uint64_t, pcie::TlpPtr>> d2hReplay;
 

@@ -211,12 +211,13 @@ Adaptor::allocBounce(pcie::AddrRange region, Addr &cursor,
 }
 
 void
-Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
+Adaptor::prepareH2d(std::shared_ptr<const Bytes> data,
+                    std::uint64_t offset, std::uint64_t length,
                     std::function<void(Addr)> done, bool scTerminated)
 {
     if (!keys_)
         fatal("Adaptor: prepareH2d before session establishment");
-    if (data && data->size() != length)
+    if (data && (offset > data->size() || length > data->size() - offset))
         fatal("Adaptor: data/length mismatch");
     if (scTerminated && data)
         fatal("Adaptor: SC-terminated transfers are payload-free");
@@ -244,8 +245,8 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
         cpu += kPerSubtaskOverhead * subtasks;
     s_.h2dCpuTicks.sample(cpu);
 
-    runOnCpu(cpu, [this, t0, data = std::move(data), length, bounce,
-                   chunks, subtasks, done = std::move(done),
+    runOnCpu(cpu, [this, t0, data = std::move(data), offset, length,
+                   bounce, chunks, subtasks, done = std::move(done),
                    epoch = sessionEpoch_]() mutable {
         // The session died (crash recovery) while this seal stage
         // was queued on the CPU: drop it. The recovery journal
@@ -278,7 +279,7 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
             rec.iv = keys_->nextIv(trust::StreamDir::HostToDevice);
             rec.epoch =
                 keys_->epochId(trust::StreamDir::HostToDevice);
-            rec.synthetic = !data.has_value();
+            rec.synthetic = data == nullptr;
             if (data) {
                 ciphers.push_back(&keys_->cipherCached(
                     trust::StreamDir::HostToDevice, rec.epoch));
@@ -298,6 +299,7 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
                 fatal("Adaptor: %llu-byte payload does not fit the "
                       "pinned H2D window",
                       (unsigned long long)length);
+            const std::uint8_t *plain = data->data() + offset;
             // Several chunks spread across the lanes; a single one
             // parallelizes inside the payload instead (segmented-
             // GHASH seal, bit-identical tag).
@@ -305,7 +307,7 @@ Adaptor::prepareH2d(std::optional<Bytes> data, std::uint64_t length,
             pool.parallelFor(records.size(), width, [&](std::size_t i) {
                 ChunkRecord &rec = records[i];
                 std::uint64_t o = rec.addr - bounce;
-                ciphers[i]->seal(rec.iv, data->data() + o, arena + o,
+                ciphers[i]->seal(rec.iv, plain + o, arena + o,
                                  rec.length, nullptr, 0, rec.tag.data(),
                                  pool, inner);
             });

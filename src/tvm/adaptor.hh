@@ -173,14 +173,17 @@ class Adaptor : public sim::SimObject
     void pktFilterManage(const backend::RuleTables &tables);
 
     /**
-     * Prepare an H2D transfer: encrypt @p data (or a synthetic
-     * region of @p length bytes) into the H2D bounce buffer,
-     * register the chunk records, and notify the PCIe-SC.
+     * Prepare an H2D transfer: encrypt bytes [offset, offset + length)
+     * of @p data (nullptr: a synthetic region of @p length bytes)
+     * into the H2D bounce buffer, register the chunk records, and
+     * notify the PCIe-SC. The seal reads the caller's bytes in place;
+     * @p data stays alive until it has run.
      *
      * @param done receives the bounce address the device should
      *             DMA from.
      */
-    void prepareH2d(std::optional<Bytes> data, std::uint64_t length,
+    void prepareH2d(std::shared_ptr<const Bytes> data,
+                    std::uint64_t offset, std::uint64_t length,
                     std::function<void(Addr)> done,
                     bool scTerminated = false);
 

@@ -49,12 +49,17 @@ Runtime::memcpyH2D(Addr devAddr, std::optional<Bytes> data,
 {
     if (data && data->size() != length)
         fatal("ccrt: memcpyH2D data/length mismatch");
-    h2dPiece(devAddr, std::move(data), 0, length, kind,
+    // One owner for the whole payload: every piece reads its slice in
+    // place, so no piece is copied out of the caller's buffer.
+    std::shared_ptr<const Bytes> payload;
+    if (data)
+        payload = std::make_shared<const Bytes>(std::move(*data));
+    h2dPiece(devAddr, std::move(payload), 0, length, kind,
              std::move(done));
 }
 
 void
-Runtime::h2dPiece(Addr devAddr, std::optional<Bytes> data,
+Runtime::h2dPiece(Addr devAddr, std::shared_ptr<const Bytes> data,
                   std::uint64_t offset, std::uint64_t total,
                   TransferKind kind, DoneCb done)
 {
@@ -63,28 +68,22 @@ Runtime::h2dPiece(Addr devAddr, std::optional<Bytes> data,
         return;
     }
     std::uint64_t length = std::min(total - offset, kMaxPieceBytes);
-    std::optional<Bytes> piece;
-    if (data)
-        piece = Bytes(data->begin() + offset,
-                      data->begin() + offset + length);
-
-    auto next = [this, devAddr, data = std::move(data), offset,
-                 length, total, kind,
+    auto next = [this, devAddr, data, offset, length, total, kind,
                  done = std::move(done)]() mutable {
         h2dPiece(devAddr, std::move(data), offset + length, total,
                  kind, std::move(done));
     };
-    memcpyH2DPiece(devAddr + offset, std::move(piece), length,
+    memcpyH2DPiece(devAddr + offset, std::move(data), offset, length,
                    std::move(next), kind);
 }
 
 void
-Runtime::memcpyH2DPiece(Addr devAddr, std::optional<Bytes> data,
-                        std::uint64_t length, DoneCb done,
-                        TransferKind kind)
+Runtime::memcpyH2DPiece(Addr devAddr, std::shared_ptr<const Bytes> data,
+                        std::uint64_t offset, std::uint64_t length,
+                        DoneCb done, TransferKind kind)
 {
     auto submit_dma = [this, devAddr, length,
-                       synthetic = !data.has_value(),
+                       synthetic = data == nullptr,
                        done = std::move(done)](Addr hostAddr) {
         xpu::XpuCommand cmd;
         cmd.type = xpu::XpuCmdType::DmaFromHost;
@@ -98,7 +97,7 @@ Runtime::memcpyH2DPiece(Addr devAddr, std::optional<Bytes> data,
     };
 
     if (mode_ == RuntimeMode::Secure) {
-        adaptor_->prepareH2d(std::move(data), length,
+        adaptor_->prepareH2d(std::move(data), offset, length,
                              std::move(submit_dma),
                              kind == TransferKind::KvSwap);
         return;
@@ -109,7 +108,7 @@ Runtime::memcpyH2DPiece(Addr devAddr, std::optional<Bytes> data,
     // skips the host-side copy.
     Addr staging = allocStaging(length);
     if (data)
-        tvm_.memory().write(staging, *data);
+        tvm_.memory().write(staging, data->data() + offset, length);
     Tick copy = kind == TransferKind::KvSwap
                     ? 0
                     : tvm_.memcpyDelay(length);
@@ -151,7 +150,11 @@ Runtime::d2hPiece(Addr devAddr, std::uint64_t offset,
         devAddr + offset, length, synthetic,
         [this, devAddr, offset, length, total, synthetic, kind, acc,
          done = std::move(done)](Bytes piece) mutable {
-            acc->insert(acc->end(), piece.begin(), piece.end());
+            // The first piece becomes the result; later ones append.
+            if (acc->empty())
+                *acc = std::move(piece);
+            else
+                acc->insert(acc->end(), piece.begin(), piece.end());
             d2hPiece(devAddr, offset + length, total, synthetic, kind,
                      std::move(acc), std::move(done));
         },

@@ -118,12 +118,16 @@ class Runtime : public sim::SimObject
      * leaves the device default).
      */
     std::uint32_t secureBurstBytes() const;
-    void h2dPiece(Addr devAddr, std::optional<Bytes> data,
+    /** Transfer [offset, total) of @p data (nullptr: synthetic) one
+     * piece after another. */
+    void h2dPiece(Addr devAddr, std::shared_ptr<const Bytes> data,
                   std::uint64_t offset, std::uint64_t total,
                   TransferKind kind, DoneCb done);
-    void memcpyH2DPiece(Addr devAddr, std::optional<Bytes> data,
-                        std::uint64_t length, DoneCb done,
-                        TransferKind kind);
+    /** One piece: bytes [offset, offset + length) of @p data, to
+     * @p devAddr. */
+    void memcpyH2DPiece(Addr devAddr, std::shared_ptr<const Bytes> data,
+                        std::uint64_t offset, std::uint64_t length,
+                        DoneCb done, TransferKind kind);
     void memcpyD2HPiece(Addr devAddr, std::uint64_t length,
                         bool synthetic, DataCb done,
                         TransferKind kind);

@@ -258,7 +258,8 @@ XpuDevice::emitDmaWrite(const XpuCommand &cmd)
                 pcie::Tlp::makeMemWriteSynthetic(
                     bdf_, host, static_cast<std::uint32_t>(burst)));
         } else {
-            Bytes data = vram_.read(dev - mm::kXpuVram.base, burst);
+            Bytes data = pcie::payloadBuffer(burst);
+            vram_.read(dev - mm::kXpuVram.base, data.data(), burst);
             tlp = std::make_shared<pcie::Tlp>(
                 pcie::Tlp::makeMemWrite(bdf_, host, std::move(data)));
         }

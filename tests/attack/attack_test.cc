@@ -203,6 +203,42 @@ TEST(Tampering, EveryCompletionStrippedAbortsTheDma)
               Bytes(secret.size(), 0));
 }
 
+/**
+ * A D2H chunk tampered with between the PCIe-SC and the host fails
+ * the Adaptor's tag check after delivery; its kChunkRetry makes the
+ * SC replay the sealed TLP it sent, which the tap's tampered copy
+ * left pristine.
+ */
+TEST(Tampering, TamperedD2hChunkIsReplayedIntact)
+{
+    TappedPlatform rig;
+    rig.tap.setMode(TapMode::TamperPayload);
+    // Only the first result write into the D2H bounce window.
+    rig.tap.setTargetFilter([n = 0](const Tlp &tlp) mutable {
+        return tlp.type == TlpType::MemWrite &&
+               mm::kBounceD2h.contains(tlp.address) && n++ == 0;
+    });
+
+    sim::Rng rng(11);
+    Bytes result = rng.bytes(1 * kMiB);
+    rig.platform.xpu().vram().write(0, result);
+    Bytes got;
+    rig.platform.runtime().memcpyD2H(mm::kXpuVram.base, result.size(),
+                                     false,
+                                     [&](Bytes d) { got = std::move(d); });
+    rig.platform.run();
+
+    EXPECT_EQ(rig.tap.tampered(), 1u);
+    EXPECT_TRUE(got == result);
+    auto &adaptor = rig.platform.adaptor()->stats();
+    auto &sc = rig.platform.pcieSc()->stats();
+    EXPECT_EQ(adaptor.counterHandle("d2h_integrity_failures").value(), 1u);
+    EXPECT_EQ(adaptor.counterHandle("d2h_chunk_retries").value(), 1u);
+    EXPECT_EQ(sc.counterHandle("d2h_replays").value(), 1u);
+    EXPECT_EQ(adaptor.counterHandle("faults_fatal").value(), 0u);
+    EXPECT_EQ(sc.counterHandle("faults_fatal").value(), 0u);
+}
+
 TEST(Tampering, CommandTamperDetectedByA3)
 {
     TappedPlatform rig;

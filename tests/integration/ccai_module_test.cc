@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+
 #include "ccai/compat_matrix.hh"
 #include "ccai/experiment.hh"
 #include "ccai/tcb_report.hh"
@@ -122,20 +125,36 @@ TEST(LargeTransfers, SplitTransferExceedingBounceWindows)
 
 TEST(LargeTransfers, RealDataRoundTripAcrossPieces)
 {
-    // Use a piece-boundary-straddling real payload through a scaled
-    // configuration: shrink the piece limit indirectly by using a
-    // payload larger than one adaptor chunk but well within memory.
+    // Real bytes one piece boundary past the runtime's 256 MiB piece
+    // limit, up and back: the second piece seals and opens its slice
+    // at an offset into the caller's payload and appends to the
+    // first. The expected bytes are drawn again from the same seed
+    // after the run, so no second copy is live during the transfer.
+    constexpr std::uint64_t kLen = 256 * kMiB + 12345;
+    auto draw = [] {
+        std::mt19937_64 gen(9);
+        Bytes b(kLen);
+        for (std::uint64_t i = 0; i < kLen; i += 8) {
+            std::uint64_t w = gen();
+            std::memcpy(b.data() + i, &w,
+                        std::min<std::uint64_t>(8, kLen - i));
+        }
+        return b;
+    };
     Platform p(PlatformConfig{.secure = true});
     ASSERT_TRUE(p.establishTrust().ok());
-    sim::Rng rng(9);
-    Bytes data = rng.bytes(1 * kMiB + 12345);
     Bytes got;
-    p.runtime().memcpyH2D(mm::kXpuVram.base, data, data.size(), [&] {
-        p.runtime().memcpyD2H(mm::kXpuVram.base, data.size(), false,
+    p.runtime().memcpyH2D(mm::kXpuVram.base, draw(), kLen, [&] {
+        p.runtime().memcpyD2H(mm::kXpuVram.base, kLen, false,
                               [&](Bytes d) { got = std::move(d); });
     });
     p.run();
-    EXPECT_EQ(got, data);
+    ASSERT_EQ(got.size(), kLen);
+    // Not EXPECT_EQ: a mismatch would print 256 MiB.
+    EXPECT_TRUE(got == draw());
+    auto &stats = p.adaptor()->stats();
+    EXPECT_EQ(stats.counterHandle("h2d_bytes").value(), kLen);
+    EXPECT_EQ(stats.counterHandle("d2h_bytes").value(), kLen);
 }
 
 TEST(TrustFailure, TamperedChassisReportedNotFatal)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/buffer_pool.hh"
 #include "pcie/host_memory.hh"
 #include "pcie/link.hh"
 #include "pcie/memory_map.hh"
@@ -85,6 +86,50 @@ TEST(HostMemory, ClearDropsPages)
     mem.clear();
     EXPECT_EQ(mem.residentPages(), 0u);
     EXPECT_EQ(mem.read(0, 3), (Bytes{0, 0, 0}));
+}
+
+TEST(HostMemory, PooledReadZeroesUnbackedBytes)
+{
+    // DMA payloads come from the buffer pool with stale contents, and
+    // the read into them zeroes only what no page or arena backs.
+    // Park 0xA5-filled buffers of the read's size class so the reads
+    // below land on stale bytes.
+    constexpr std::uint64_t kLen = 2 * HostMemory::kPageSize;
+    auto staleBuffer = [] {
+        BufferPool::global().trim();
+        BufferPool::global().release(Bytes(kLen, 0xa5));
+        Bytes buf = payloadBuffer(kLen);
+        EXPECT_EQ(buf, Bytes(kLen, 0xa5)) << "not a recycled buffer";
+        return buf;
+    };
+
+    // A written sparse page, then a page nothing ever wrote.
+    HostMemory sparse;
+    const Addr base = 0x10000;
+    Bytes head(100, 0x3c);
+    sparse.write(base + 50, head);
+    Bytes got = staleBuffer();
+    sparse.read(base, got.data(), kLen);
+    Bytes want(kLen, 0);
+    std::copy(head.begin(), head.end(), want.begin() + 50);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(sparse.residentPages(), 1u);
+
+    // Across the end of a pinned arena: its last page, then unbacked
+    // bytes past it.
+    HostMemory pinned;
+    const Addr arena = 0x100000;
+    const std::uint64_t arenaBytes = 4 * HostMemory::kPageSize;
+    pinned.pinRange(arena, arenaBytes);
+    const Addr from = arena + arenaBytes - HostMemory::kPageSize;
+    Bytes tail(HostMemory::kPageSize, 0x5e);
+    pinned.write(from, tail);
+    got = staleBuffer();
+    pinned.read(from, got.data(), kLen);
+    want.assign(kLen, 0);
+    std::copy(tail.begin(), tail.end(), want.begin());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(pinned.residentPages(), 0u);
 }
 
 TEST(LinkConfig, BandwidthMath)

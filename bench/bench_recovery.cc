@@ -76,7 +76,7 @@ runSteady(bool watchdog, int ops)
                       });
     }
     if (watchdog)
-        rec.startWatchdog(t0 + rec.config().heartbeatPeriod);
+        rec.startWatchdog(t0 + kHeartbeatPeriod);
     p.run();
 
     r.simSeconds = ticksToSeconds(lastDone - t0);

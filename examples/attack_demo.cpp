@@ -3,7 +3,8 @@
  * Security demonstration (the paper's §8.2 analysis, live): runs
  * the threat model's attacks against a ccAI platform and shows each
  * defense firing — and, for contrast, what the same bus attacker
- * sees on an unprotected vanilla machine.
+ * sees on an unprotected vanilla machine. Exits 1 when any verdict
+ * comes out other than the threat model requires.
  *
  *   $ ./attack_demo
  */
@@ -51,6 +52,9 @@ main()
     LogConfig::Quiet quiet;
     sim::Rng rng(0xA77AC);
     Bytes secret = rng.bytes(4096);
+    // Verdicts that came out other than the threat model requires.
+    int failed = 0;
+    auto verdict = [&failed](bool held) { failed += held ? 0 : 1; };
 
     banner("1. Bus snooping on a ccAI-protected platform");
     {
@@ -60,15 +64,15 @@ main()
         p.runtime().memcpyH2D(mm::kXpuVram.base, secret,
                               secret.size(), [] {});
         p.run();
+        const bool leaked = leaks(p.busTap()->captured(), secret);
+        const bool delivered =
+            p.xpu().vram().read(0, secret.size()) == secret;
+        verdict(!leaked && delivered);
         std::printf("tap captured %zu packets; plaintext leaked: "
                     "%s\n",
-                    p.busTap()->captured().size(),
-                    leaks(p.busTap()->captured(), secret) ? "YES"
-                                                          : "no");
+                    p.busTap()->captured().size(), leaked ? "YES" : "no");
         std::printf("device received the correct plaintext: %s\n",
-                    p.xpu().vram().read(0, secret.size()) == secret
-                        ? "yes"
-                        : "NO");
+                    delivered ? "yes" : "NO");
     }
 
     banner("2. The same snoop against a vanilla (unprotected) machine");
@@ -82,11 +86,12 @@ main()
         // A vanilla attacker can read the DMA staging area directly.
         Bytes staging =
             p.hostMemory().read(mm::kTvmPrivate.base, secret.size());
+        const bool visible = staging == secret;
+        verdict(visible);
         std::printf("plaintext visible in unprotected DMA staging: "
                     "%s\n",
-                    staging == secret ? "YES (this is the problem "
-                                        "ccAI solves)"
-                                      : "no");
+                    visible ? "YES (this is the problem ccAI solves)"
+                            : "no");
     }
 
     banner("3. Ciphertext tampering is detected");
@@ -102,18 +107,20 @@ main()
         p.runtime().memcpyH2D(mm::kXpuVram.base, secret,
                               secret.size(), [] {});
         p.run();
+        const std::uint64_t flagged =
+            p.pcieSc()
+                ->stats()
+                .counterHandle("a2_integrity_failures")
+                .value();
+        const bool blocked = p.xpu().vram().read(0, secret.size()) ==
+                             Bytes(secret.size(), 0);
+        verdict(p.busTap()->tampered() > 0 && flagged > 0 && blocked);
         std::printf("tampered packets: %llu, integrity failures "
                     "flagged by PCIe-SC: %llu\n",
                     (unsigned long long)p.busTap()->tampered(),
-                    (unsigned long long)p.pcieSc()
-                        ->stats()
-                        .counterHandle("a2_integrity_failures")
-                        .value());
+                    (unsigned long long)flagged);
         std::printf("corrupted data reached the device: %s\n",
-                    p.xpu().vram().read(0, secret.size()) ==
-                            Bytes(secret.size(), 0)
-                        ? "no (blocked)"
-                        : "YES");
+                    blocked ? "no (blocked)" : "YES");
     }
 
     banner("4. Command replay is rejected");
@@ -128,12 +135,12 @@ main()
         });
         p.runtime().launchKernel(1 * kTicksPerMs);
         p.run();
+        const std::uint64_t kernels =
+            p.xpu().stats().counterHandle("kernels").value();
+        verdict(kernels == 1);
         std::printf("kernels executed: %llu (the replayed copy was "
                     "dropped; A3 failures: %llu)\n",
-                    (unsigned long long)p.xpu()
-                        .stats()
-                        .counterHandle("kernels")
-                        .value(),
+                    (unsigned long long)kernels,
                     (unsigned long long)p.pcieSc()
                         ->stats()
                         .counterHandle("a3_integrity_failures")
@@ -155,6 +162,7 @@ main()
         evil.dmaReadHost(mm::kTvmPrivate.base, 4096);
         evil.probeXpu(mm::kXpuMmio.base, 8);
         p.run();
+        verdict(evil.loot().empty());
         std::printf("device exfiltrated %zu packets; completer "
                     "aborts received: %llu\n",
                     evil.loot().size(),
@@ -176,14 +184,23 @@ main()
             trust::pcridx::kSealingStatus);
         p.sealing()->injectReading(0, 20.0); // pressure drop
         p.sealing()->pollOnce();
+        const bool detected = p.sealing()->tamperDetected();
+        const bool measured =
+            p.blade()->pcrs().value(trust::pcridx::kSealingStatus) !=
+            sealed_pcr;
+        verdict(detected && measured);
         std::printf("tamper detected: %s; sealing PCR changed: %s\n",
-                    p.sealing()->tamperDetected() ? "yes" : "NO",
-                    p.blade()->pcrs().value(
-                        trust::pcridx::kSealingStatus) != sealed_pcr
-                        ? "yes (remote verifier will notice)"
-                        : "NO");
+                    detected ? "yes" : "NO",
+                    measured ? "yes (remote verifier will notice)"
+                             : "NO");
     }
 
+    if (failed != 0) {
+        std::printf("\n%d of six adversary classes NOT handled per "
+                    "the threat model (§2.2/§8.2).\n",
+                    failed);
+        return 1;
+    }
     std::printf("\nAll six adversary classes handled per the threat "
                 "model (§2.2/§8.2).\n");
     return 0;

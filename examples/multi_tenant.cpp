@@ -5,7 +5,8 @@
  * The controller tells them apart by PCIe requester ID and keeps an
  * isolated secure channel per tenant — separate AES-GCM keys, chunk
  * tables, and bounce/metadata windows — so each tenant's prompts
- * and results are opaque to the other.
+ * and results are opaque to the other. Exits 1 when a round trip,
+ * an isolation check or a scrub comes out wrong.
  *
  *   $ ./multi_tenant
  */
@@ -59,6 +60,7 @@ main()
         });
     platform.run();
 
+    bool ok = got_a == secret_a && got_b == secret_b;
     std::printf("tenant A round trip: %s\n",
                 got_a == secret_a ? "ok" : "FAILED");
     std::printf("tenant B round trip: %s\n",
@@ -75,6 +77,7 @@ main()
         b_keys->cipherForEpoch(trust::StreamDir::DeviceToHost, 0)
             .open(b_keys->nextIv(trust::StreamDir::DeviceToHost),
                   a_ciphertext, Bytes(16, 0));
+    ok = ok && !leaked && !opened.has_value();
     std::printf("tenant A's results plaintext-visible to B: %s; "
                 "decryptable with B's keys: %s\n",
                 leaked ? "YES" : "no",
@@ -84,19 +87,23 @@ main()
     // the last tenant ends.
     b.adaptor->endTask(true);
     platform.run();
+    const std::size_t left = platform.pcieSc()->tenantCount();
+    const bool early_scrub = platform.xpu().envState().clean();
+    ok = ok && left == 1 && !early_scrub;
     std::printf("tenant B ended; sessions left: %zu, device "
                 "scrubbed: %s\n",
-                platform.pcieSc()->tenantCount(),
-                platform.xpu().envState().clean() ? "yes" : "not yet");
+                left, early_scrub ? "yes" : "not yet");
     platform.adaptor()->endTask(true);
     platform.run();
+    const bool scrubbed = platform.xpu().envState().clean();
+    ok = ok && scrubbed;
     std::printf("owner ended; device scrubbed: %s\n",
-                platform.xpu().envState().clean() ? "yes" : "NO");
+                scrubbed ? "yes" : "NO");
 
     if (platform.exportTrace("multi_tenant_trace.json"))
         std::printf("trace with per-tenant tracks: "
                     "multi_tenant_trace.json (%zu events) — open in "
                     "ui.perfetto.dev\n",
                     platform.tracer().eventCount());
-    return 0;
+    return ok ? 0 : 1;
 }

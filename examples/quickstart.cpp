@@ -43,6 +43,7 @@ main()
                     'w', 'e', 'i', 'g', 'h', 't', 's'};
     tvm::Runtime &rt = platform.runtime();
 
+    bool matches = false;
     rt.memcpyH2D(mm::kXpuVram.base, secret, secret.size(), [&] {
         std::printf("uploaded %zu secret bytes (encrypted on the "
                     "bus, plaintext only inside the device)\n",
@@ -50,10 +51,10 @@ main()
         rt.launchKernel(2 * kTicksPerMs);
         rt.memcpyD2H(mm::kXpuVram.base, secret.size(), false,
                      [&](Bytes result) {
+                         matches = result == secret;
                          std::printf("result readback: %s\n",
-                                     result == secret
-                                         ? "matches (round trip ok)"
-                                         : "MISMATCH");
+                                     matches ? "matches (round trip ok)"
+                                             : "MISMATCH");
                      });
     });
 
@@ -63,8 +64,11 @@ main()
     // 5. Tear down: scrub the device and destroy the session keys.
     platform.adaptor()->endTask(/*softResetSupported=*/true);
     platform.run();
-    std::printf("task ended: device scrubbed, keys destroyed\n");
+    const bool scrubbed = platform.xpu().envState().clean();
+    std::printf("task ended: %s\n",
+                scrubbed ? "device scrubbed, keys destroyed"
+                         : "DEVICE NOT SCRUBBED");
     std::printf("simulated time: %.3f ms\n",
                 ticksToSeconds(platform.system().now()) * 1e3);
-    return 0;
+    return matches && scrubbed ? 0 : 1;
 }

@@ -61,18 +61,20 @@ main()
     // Machine-readable planes.
     std::string metrics = platform.exportMetricsJson();
     std::FILE *mf = std::fopen("stats_tour_metrics.json", "w");
+    bool written = mf != nullptr;
     if (mf) {
-        std::fwrite(metrics.data(), 1, metrics.size(), mf);
-        std::fclose(mf);
+        written = std::fwrite(metrics.data(), 1, metrics.size(), mf) ==
+                  metrics.size();
+        written = std::fclose(mf) == 0 && written;
     }
     bool traced = platform.exportTrace("stats_tour_trace.json");
 
     std::printf("\nmetrics snapshot : stats_tour_metrics.json "
-                "(%zu bytes)\n",
-                metrics.size());
+                "(%zu bytes%s)\n",
+                metrics.size(), written ? "" : ", WRITE FAILED");
     std::printf("span trace       : stats_tour_trace.json "
                 "(%zu events%s) — open in ui.perfetto.dev\n",
                 platform.tracer().eventCount(),
                 traced ? "" : ", WRITE FAILED");
-    return 0;
+    return written && traced ? 0 : 1;
 }

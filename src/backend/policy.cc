@@ -243,6 +243,13 @@ RuleTables::clear()
     l2_.clear();
 }
 
+bool
+RuleTables::wellFormed() const
+{
+    return !l1_.empty() && !l2_.empty() && l1_.back().mask == 0 &&
+           l1_.back().verdict == L1Verdict::ExecuteA1;
+}
+
 SecurityAction
 RuleTables::classify(const pcie::Tlp &tlp) const
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * L1/L2 rule tables of the Packet Filter (paper Figure 5) — the
- * protection-policy language every backend's installPolicy() speaks.
+ * protection-policy language the PCIe-SC enforces.
  *
  * The L1 table performs masked access control: each rule selects
  * which header attributes to compare (the Mask), and either forwards
@@ -13,9 +13,9 @@
  * address-space sensitivity.
  *
  * Rules serialize to the 32-byte policy format the prototype's
- * Adaptor writes into the PCIe-SC's 4 KiB upstream BAR. Backends
- * without a packet filter (H100-CC, ACAI) accept the same policy for
- * auditing/compat reporting but enforce none of it on the wire.
+ * Adaptor writes into the PCIe-SC's 4 KiB upstream BAR. Only the
+ * PCIe-SC enforces a policy; the rival designs (H100-CC, ACAI) have
+ * no packet filter and install none.
  */
 
 #ifndef CCAI_BACKEND_POLICY_HH
@@ -148,6 +148,14 @@ class RuleTables
     void addL1(const L1Rule &rule) { l1_.push_back(rule); }
     void addL2(const L2Rule &rule) { l2_.push_back(rule); }
     void clear();
+
+    /**
+     * The shape every installed policy must have: it authorizes
+     * something (at least one L1 and one L2 rule) and ends in the
+     * mask-0 ExecuteA1 deny default, so unmatched traffic cannot
+     * fall through.
+     */
+    bool wellFormed() const;
 
     /** Full classification: L1 then L2. */
     SecurityAction classify(const pcie::Tlp &tlp) const;

@@ -1,7 +1,5 @@
 #include "backend/protection_backend.hh"
 
-#include "crypto/sha256.hh"
-
 namespace ccai::backend
 {
 
@@ -38,11 +36,13 @@ costModelFor(Kind kind)
     switch (kind) {
       case Kind::CcaiSc:
         // The interposer's costs are fully simulated (Adaptor AES-NI
-        // seal, PCIe-SC line-rate engines), so every per-transfer
-        // hook stays inert. The two non-zero entries feed the
+        // seal, PCIe-SC line-rate engines), so no per-byte or
+        // per-transfer cost is set, and a ccAI platform hands this
+        // model to no component. The non-zero entries feed the
         // roofline serving model and the comparison table: the
-        // measured Fig-8 steady-state data-path inflation and the
-        // Adaptor's per-request policy-refresh latency.
+        // measured Fig-8 steady-state data-path inflation, the
+        // Adaptor's per-request policy-refresh latency and the
+        // trust-establishment time.
         m.computeOverhead = 1.12;
         m.perRequestSetup = 150 * kTicksPerUs;
         m.sessionEstablishTicks = 120 * kTicksPerMs;
@@ -114,85 +114,6 @@ tcbFor(Kind kind)
 namespace
 {
 
-/** Session workload key derived from the negotiated secret. */
-Bytes
-deriveSealKey(const Bytes &sessionSecret)
-{
-    static const char label[] = "backend-seal-key";
-    Bytes msg(label, label + sizeof(label) - 1);
-    Bytes key = crypto::hmacSha256(sessionSecret, msg);
-    key.resize(16);
-    return key;
-}
-
-} // namespace
-
-bool
-ProtectionBackend::establishSession(std::uint16_t tenantRaw,
-                                    const Bytes &sessionSecret)
-{
-    if (sessions_.count(tenantRaw))
-        return false;
-    sessions_.emplace(tenantRaw,
-                      crypto::AesGcm(deriveSealKey(sessionSecret)));
-    return true;
-}
-
-void
-ProtectionBackend::endSession(std::uint16_t tenantRaw)
-{
-    sessions_.erase(tenantRaw);
-}
-
-bool
-ProtectionBackend::sessionActive(std::uint16_t tenantRaw) const
-{
-    return sessions_.count(tenantRaw) != 0;
-}
-
-bool
-ProtectionBackend::installPolicy(const RuleTables &tables)
-{
-    // A usable policy authorizes something (>= 1 L1 forward rule +
-    // >= 1 L2 classification) and ends in the catch-all deny default
-    // so unmatched traffic cannot fall through.
-    if (tables.l1Size() == 0 || tables.l2Size() == 0)
-        return false;
-    const L1Rule &last = tables.l1().back();
-    if (last.mask != 0 || last.verdict != L1Verdict::ExecuteA1)
-        return false;
-    policy_ = tables;
-    policyInstalled_ = true;
-    return true;
-}
-
-std::optional<Bytes>
-ProtectionBackend::sealH2d(std::uint16_t tenantRaw, const Bytes &iv,
-                           const Bytes &plain, Bytes *tagOut) const
-{
-    auto it = sessions_.find(tenantRaw);
-    if (it == sessions_.end())
-        return std::nullopt;
-    crypto::Sealed sealed = it->second.seal(iv, plain);
-    if (tagOut)
-        *tagOut = sealed.tag;
-    return std::move(sealed.ciphertext);
-}
-
-std::optional<Bytes>
-ProtectionBackend::openD2h(std::uint16_t tenantRaw, const Bytes &iv,
-                           const Bytes &sealed,
-                           const Bytes &tag) const
-{
-    auto it = sessions_.find(tenantRaw);
-    if (it == sessions_.end())
-        return std::nullopt;
-    return it->second.open(iv, sealed, tag);
-}
-
-namespace
-{
-
 Tick
 throughputDelay(std::uint64_t bytes, double bytesPerSec)
 {
@@ -204,21 +125,21 @@ throughputDelay(std::uint64_t bytes, double bytesPerSec)
 } // namespace
 
 Tick
-ProtectionBackend::hostSealDelay(std::uint64_t bytes) const
+CostModel::hostSealDelay(std::uint64_t bytes) const
 {
-    return throughputDelay(bytes, cost_.hostSealBytesPerSec);
+    return throughputDelay(bytes, hostSealBytesPerSec);
 }
 
 Tick
-ProtectionBackend::hostOpenDelay(std::uint64_t bytes) const
+CostModel::hostOpenDelay(std::uint64_t bytes) const
 {
-    return throughputDelay(bytes, cost_.hostOpenBytesPerSec);
+    return throughputDelay(bytes, hostOpenBytesPerSec);
 }
 
 Tick
-ProtectionBackend::deviceCryptoDelay(std::uint64_t bytes) const
+CostModel::deviceCryptoDelay(std::uint64_t bytes) const
 {
-    return throughputDelay(bytes, cost_.deviceCryptoBytesPerSec);
+    return throughputDelay(bytes, deviceCryptoBytesPerSec);
 }
 
 } // namespace ccai::backend

@@ -1,37 +1,27 @@
 /**
  * @file
- * The pluggable protection-backend API: the contract Platform, the
- * Adaptor and the xPU layer program against instead of hard-wiring
- * the interposer design. A backend bundles
+ * The protection designs the simulator compares, as data. Each Kind
+ * has a cost model and a TCB/compat descriptor:
  *
- *   - session establishment / teardown per tenant,
- *   - an H2D seal / D2H open hook pair (functional crypto over the
- *     per-session workload key),
- *   - policy install (the L1/L2 rule-table language; backends
- *     without a packet filter keep the policy for auditing only),
- *   - a per-transfer cost model (host seal/open throughput, device
- *     crypto throughput, fixed setup costs, compute inflation),
- *   - TCB / compatibility descriptors for the cross-backend
- *     comparison tables.
- *
- * Three implementations exist: CcaiScBackend (the paper's interposed
- * PCIe-SC; fully simulated, cost hooks inert), H100CcBackend
- * (device-side GCM with encrypted bounce buffers, cost-modelled) and
- * AcaiBackend (TEE extended to the accelerator over plain PCIe,
- * attestation-time cost only).
+ *   - CcaiSc is the paper's interposed PCIe-SC. Platform builds it
+ *     packet by packet, so its cost model never reaches the packet
+ *     path; its entries feed the serving roofline and the
+ *     comparison tables only.
+ *   - H100Cc (device-side GCM with encrypted bounce buffers) and
+ *     Acai (TEE extended to the accelerator over plain PCIe) are
+ *     rivals that put no hardware on the bus. A rival platform
+ *     builds the vanilla topology and hands its CostModel to
+ *     tvm::Runtime and xpu::XpuDevice, which charge it per transfer,
+ *     request and kernel.
  */
 
 #ifndef CCAI_BACKEND_PROTECTION_BACKEND_HH
 #define CCAI_BACKEND_PROTECTION_BACKEND_HH
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <string_view>
 
-#include "backend/policy.hh"
 #include "common/types.hh"
-#include "crypto/gcm.hh"
 
 namespace ccai::backend
 {
@@ -78,9 +68,7 @@ struct TcbDescriptor
 
 /**
  * Per-transfer cost model. Every rate/latency of 0 means "this
- * backend has no such cost" and the corresponding hook is inert, so
- * a backend whose costs are fully simulated (CcaiSc) plugs in a
- * zeroed model and perturbs nothing.
+ * backend has no such cost", so the matching delay is 0.
  */
 struct CostModel
 {
@@ -98,86 +86,6 @@ struct CostModel
     Tick sessionEstablishTicks = 0;
     /** Kernel-compute inflation factor (1.0 = none). */
     double computeOverhead = 1.0;
-};
-
-/** Canonical cost model of each backend kind. */
-CostModel costModelFor(Kind kind);
-
-/** Canonical TCB/compat descriptor of each backend kind. */
-TcbDescriptor tcbFor(Kind kind);
-
-/**
- * The backend interface. The base class implements the generic
- * contract — session bookkeeping with per-session seal/open keys,
- * policy validation/recording, cost-model arithmetic — so concrete
- * backends only specialize what differs (the ccAI backend forwards
- * policy installs to the live PCIe-SC; the rivals are pure cost
- * models).
- */
-class ProtectionBackend
-{
-  public:
-    virtual ~ProtectionBackend() = default;
-
-    virtual Kind kind() const = 0;
-    const char *name() const { return kindName(kind()); }
-    virtual TcbDescriptor tcb() const { return tcbFor(kind()); }
-    const CostModel &cost() const { return cost_; }
-
-    bool interposed() const { return tcb().interposer; }
-    bool filtersPackets() const { return tcb().packetFilter; }
-
-    // ---- Session lifecycle ----
-
-    /**
-     * Establish a tenant session keyed by the PCIe requester ID.
-     * Derives the session's seal/open workload key from
-     * @p sessionSecret. Returns false (and changes nothing) when the
-     * tenant already has a live session.
-     */
-    virtual bool establishSession(std::uint16_t tenantRaw,
-                                  const Bytes &sessionSecret);
-
-    /** Tear down one tenant's session (idempotent). */
-    virtual void endSession(std::uint16_t tenantRaw);
-
-    bool sessionActive(std::uint16_t tenantRaw) const;
-    std::size_t sessionCount() const { return sessions_.size(); }
-
-    // ---- Policy ----
-
-    /**
-     * Install the packet policy. The base class validates the
-     * tables — at least one L1 and one L2 rule, and a final
-     * deny-all L1 default — and records them; backends with real
-     * enforcement (CcaiSc) additionally push them to hardware.
-     * Returns false on a malformed policy.
-     */
-    virtual bool installPolicy(const RuleTables &tables);
-
-    bool policyInstalled() const { return policyInstalled_; }
-    const RuleTables &policy() const { return policy_; }
-
-    // ---- Functional seal/open hooks ----
-
-    /**
-     * Seal an H2D payload under the tenant's session key: AES-GCM
-     * over @p plain with @p iv, tag appended via @p tagOut. Returns
-     * nullopt when the tenant has no session.
-     */
-    std::optional<Bytes> sealH2d(std::uint16_t tenantRaw,
-                                 const Bytes &iv, const Bytes &plain,
-                                 Bytes *tagOut) const;
-
-    /**
-     * Open a D2H payload: verify @p tag and decrypt. Returns nullopt
-     * on a missing session or a failed tag check.
-     */
-    std::optional<Bytes> openD2h(std::uint16_t tenantRaw,
-                                 const Bytes &iv, const Bytes &sealed,
-                                 const Bytes &tag) const;
-
-    // ---- Cost hooks (pure functions of the cost model) ----
 
     /** Host-side seal time for @p bytes of H2D payload (0 = free). */
     Tick hostSealDelay(std::uint64_t bytes) const;
@@ -185,46 +93,13 @@ class ProtectionBackend
     Tick hostOpenDelay(std::uint64_t bytes) const;
     /** Device-side crypto time for @p bytes of DMA payload. */
     Tick deviceCryptoDelay(std::uint64_t bytes) const;
-    Tick perTransferSetup() const { return cost_.perTransferSetup; }
-    Tick perRequestSetup() const { return cost_.perRequestSetup; }
-    Tick sessionEstablishTicks() const
-    {
-        return cost_.sessionEstablishTicks;
-    }
-    double computeOverhead() const { return cost_.computeOverhead; }
-
-  protected:
-    explicit ProtectionBackend(const CostModel &cost) : cost_(cost) {}
-
-    CostModel cost_;
-    /** Live sessions: tenant requester ID -> workload cipher. */
-    std::map<std::uint16_t, crypto::AesGcm> sessions_;
-    RuleTables policy_;
-    bool policyInstalled_ = false;
 };
 
-/** Cost-modelled H100 GPU-CC rival (no interposer, no filter). */
-class H100CcBackend : public ProtectionBackend
-{
-  public:
-    H100CcBackend() : ProtectionBackend(costModelFor(Kind::H100Cc)) {}
-    Kind kind() const override { return Kind::H100Cc; }
-};
+/** Canonical cost model of each backend kind. */
+CostModel costModelFor(Kind kind);
 
-/** Cost-modelled ACAI rival (TEE extension, plain PCIe). */
-class AcaiBackend : public ProtectionBackend
-{
-  public:
-    AcaiBackend() : ProtectionBackend(costModelFor(Kind::Acai)) {}
-    Kind kind() const override { return Kind::Acai; }
-};
-
-/**
- * Factory over every backend kind. Defined alongside CcaiScBackend
- * (sc/ccai_sc_backend.cc) so the backend library itself never
- * depends on the interposer model.
- */
-std::unique_ptr<ProtectionBackend> makeBackend(Kind kind);
+/** Canonical TCB/compat descriptor of each backend kind. */
+TcbDescriptor tcbFor(Kind kind);
 
 } // namespace ccai::backend
 

@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "crypto/worker_pool.hh"
 #include "obs/json.hh"
-#include "sc/ccai_sc_backend.hh"
 #include "sim/event_queue.hh"
 #include "sim/metrics_snapshot.hh"
 #include "sim/rng.hh"
@@ -113,15 +112,11 @@ Platform::buildTopology()
     switch_->mapRoutingId(kTvm, up_port);
     switch_->mapRoutingId(pcie::wellknown::kRootComplex, up_port);
 
-    if (config_.secure)
-        backend_ = backend::makeBackend(config_.protection);
-
     if (config_.secure && config_.protection == backend::Kind::CcaiSc) {
-        sc_ = static_cast<backend::CcaiScBackend &>(*backend_)
-                  .buildInterposer(sys_, "pcie_sc", config_.scConfig);
+        sc_ = std::make_unique<sc::PcieSc>(sys_, "pcie_sc",
+                                           config_.scConfig);
 
         // Switch <-> [optional bus attacker] <-> PCIe-SC.
-        pcie::PcieNode *sc_upstream_neighbor = switch_.get();
         if (config_.attachBusTap) {
             busTap_ = std::make_unique<attack::BusTap>(sys_,
                                                        "bus_tap");
@@ -129,21 +124,19 @@ Platform::buildTopology()
                 sys_, "sw_tap", switch_.get(), busTap_.get(),
                 config_.hostLink);
             tapScLink_ = std::make_unique<pcie::DuplexLink>(
-                sys_, "tap_sc", busTap_.get(), sc_,
+                sys_, "tap_sc", busTap_.get(), sc_.get(),
                 config_.hostLink);
             busTap_->connect(&switchScLink_->upstream(), switch_.get(),
-                             &tapScLink_->downstream(), sc_);
+                             &tapScLink_->downstream(), sc_.get());
             sc_->connectUpstream(&tapScLink_->upstream(),
                                  busTap_.get());
-            sc_upstream_neighbor = busTap_.get();
         } else {
             switchScLink_ = std::make_unique<pcie::DuplexLink>(
-                sys_, "sw_sc", switch_.get(), sc_,
+                sys_, "sw_sc", switch_.get(), sc_.get(),
                 config_.hostLink);
             sc_->connectUpstream(&switchScLink_->upstream(),
                                  switch_.get());
         }
-        (void)sc_upstream_neighbor;
 
         int dev_port = switch_->addPort(&switchScLink_->downstream());
         switch_->mapAddressRange(mm::kScMmio, dev_port);
@@ -155,7 +148,7 @@ Platform::buildTopology()
 
         // PCIe-SC <-> xPU (internal PCIe inside the chassis).
         scXpuLink_ = std::make_unique<pcie::DuplexLink>(
-            sys_, "sc_xpu", sc_, xpu_.get(),
+            sys_, "sc_xpu", sc_.get(), xpu_.get(),
             config_.internalLink);
         sc_->connectDownstream(&scXpuLink_->downstream(), xpu_.get());
         xpu_->connectUpstream(&scXpuLink_->upstream());
@@ -198,8 +191,8 @@ Platform::buildTopology()
         // Vanilla: switch connects straight to the xPU. The
         // cost-modelled rival backends build the same topology —
         // neither H100-CC nor ACAI puts hardware on the bus — and
-        // charge their overheads through the runtime/device hooks
-        // installed below.
+        // charge their cost model through the runtime and the
+        // device.
         switchXpuLink_ = std::make_unique<pcie::DuplexLink>(
             sys_, "sw_xpu", switch_.get(), xpu_.get(),
             config_.hostLink);
@@ -214,9 +207,10 @@ Platform::buildTopology()
         runtime_ = std::make_unique<tvm::Runtime>(
             sys_, "ccrt", *tvm_, *driver_, tvm::RuntimeMode::Vanilla,
             nullptr);
-        if (backend_) {
-            runtime_->setProtection(backend_.get());
-            xpu_->setProtection(backend_.get());
+        if (config_.secure) {
+            rivalCost_ = backend::costModelFor(config_.protection);
+            runtime_->setCostModel(&rivalCost_);
+            xpu_->setCostModel(&rivalCost_);
         }
         tvm_->configureIommu(false);
     }
@@ -280,23 +274,13 @@ Platform::establishTrust()
         return report;
     }
 
-    if (config_.protection != backend::Kind::CcaiSc) {
+    if (!sc_) {
         // Rival designs do not simulate the boot/attestation
         // exchange packet by packet; their one-time cost is the
-        // backend's sessionEstablishTicks, reported by the
-        // cross-backend comparison benches. Negotiate the session
-        // key on the backend and record the audit policy so that
-        // sealH2d/openD2h and policy queries behave uniformly.
-        report.secureBootOk = report.sealed = true;
-        Bytes secret = rng_.bytes(32);
-        report.attestationOk =
-            backend_->establishSession(kTvm.raw(), secret);
-        if (!report.attestationOk) {
-            report.failure = "backend session already established";
-            return report;
-        }
-        backend_->installPolicy(
-            backend::defaultPolicy(kTvm, kXpu, kPcieSc));
+        // cost model's sessionEstablishTicks, reported by the
+        // cross-backend comparison benches.
+        report.secureBootOk = report.attestationOk = report.sealed =
+            true;
         return report;
     }
 
@@ -390,19 +374,7 @@ Platform::establishTrust()
 
     // ---- TVM <-> PCIe-SC workload key negotiation ----
     TrustSpan keyneg_span(sys_, trust_track, "key_negotiation");
-    crypto::KeyPair tvm_keys = crypto::generateKeyPair(rng_);
-    crypto::KeyPair sc_keys = blade_->makeSessionKeys(rng_);
-    Bytes secret_tvm =
-        crypto::computeSharedSecret(tvm_keys.priv, sc_keys.pub);
-    Bytes secret_sc =
-        crypto::computeSharedSecret(sc_keys.priv, tvm_keys.pub);
-    ccai_assert(secret_tvm == secret_sc);
-
-    sc_->establishTenant(kTvm, secret_sc,
-                         tenantSlice(mm::kBounceD2h, 0),
-                         tenantSlice(mm::kMetadataBuffer, 0));
-    adaptor_->establishSession(secret_tvm);
-    backend_->establishSession(kTvm.raw(), secret_tvm);
+    negotiateSession(0);
 
     // ---- Packet policy ----
     TrustSpan policy_span(sys_, trust_track, "policy_install");
@@ -455,9 +427,11 @@ Platform::installPolicyForAllTenants()
             tvms.push_back(tenant->bdf);
     }
     backend::RuleTables policy = backend::defaultPolicy(tvms, kXpu, kPcieSc);
-    // Route through the backend: CcaiScBackend validates and pushes
-    // the tables to the PCIe-SC's rule memory.
-    backend_->installPolicy(policy);
+    if (!policy.wellFormed())
+        panic("platform: refusing to install a policy with %zu L1 and "
+              "%zu L2 rules and no trailing deny default",
+              policy.l1Size(), policy.l2Size());
+    sc_->installPolicy(policy);
     if (admitted(kTvm.raw()))
         adaptor_->setPolicy(policy);
 }
@@ -498,23 +472,10 @@ Platform::addTenant(pcie::Bdf bdf)
     // Completions for this tenant route back to the root port.
     switch_->mapRoutingId(bdf, 0);
 
+    tenants_.push_back(std::move(tenant));
     // Key negotiation with the PCIe-SC's HRoT-Blade, as the owner
     // did during trust establishment.
-    crypto::KeyPair tenant_keys = crypto::generateKeyPair(rng_);
-    crypto::KeyPair sc_keys = blade_->makeSessionKeys(rng_);
-    Bytes secret_tenant =
-        crypto::computeSharedSecret(tenant_keys.priv, sc_keys.pub);
-    Bytes secret_sc =
-        crypto::computeSharedSecret(sc_keys.priv, tenant_keys.pub);
-    ccai_assert(secret_tenant == secret_sc);
-
-    sc_->establishTenant(bdf, secret_sc,
-                         tenantSlice(mm::kBounceD2h, slot),
-                         tenantSlice(mm::kMetadataBuffer, slot));
-    tenant->adaptor->establishSession(secret_tenant);
-    backend_->establishSession(bdf.raw(), secret_tenant);
-
-    tenants_.push_back(std::move(tenant));
+    negotiateSession(slot);
     // Authorize the new requester ID in the packet policy.
     installPolicyForAllTenants();
     tenants_.back()->adaptor->hwInit();
@@ -587,22 +548,27 @@ Platform::reattestTenant(std::uint32_t slot)
     // Fresh DHKE -> new workload keys on both ends. The Adaptor
     // destroyed the old epoch's keys in abortSession(); the SC's are
     // overwritten by establishTenant.
-    crypto::KeyPair tenant_keys = crypto::generateKeyPair(rng_);
+    negotiateSession(slot);
+    installPolicyForAllTenants();
+    adaptorFor(slot).hwInit();
+    return true;
+}
+
+void
+Platform::negotiateSession(std::uint32_t slot)
+{
+    crypto::KeyPair tvm_keys = crypto::generateKeyPair(rng_);
     crypto::KeyPair sc_keys = blade_->makeSessionKeys(rng_);
-    Bytes secret_tenant =
-        crypto::computeSharedSecret(tenant_keys.priv, sc_keys.pub);
+    Bytes secret_tvm =
+        crypto::computeSharedSecret(tvm_keys.priv, sc_keys.pub);
     Bytes secret_sc =
-        crypto::computeSharedSecret(sc_keys.priv, tenant_keys.pub);
-    if (secret_tenant != secret_sc)
-        return false;
+        crypto::computeSharedSecret(sc_keys.priv, tvm_keys.pub);
+    ccai_assert(secret_tvm == secret_sc);
 
     sc_->establishTenant(bdfFor(slot), secret_sc,
                          tenantSlice(mm::kBounceD2h, slot),
                          tenantSlice(mm::kMetadataBuffer, slot));
-    adaptorFor(slot).establishSession(secret_tenant);
-    installPolicyForAllTenants();
-    adaptorFor(slot).hwInit();
-    return true;
+    adaptorFor(slot).establishSession(secret_tvm);
 }
 
 void

@@ -128,15 +128,8 @@ class Platform
     pcie::HostMemory &hostMemory() { return mem_; }
     pcie::Switch &rootSwitch() { return *switch_; }
 
-    /**
-     * The protection backend (nullptr on a vanilla platform). For
-     * Kind::CcaiSc this fronts the simulated PCIe-SC; for the
-     * rivals it carries their cost model and session state.
-     */
-    backend::ProtectionBackend *protection() { return backend_.get(); }
-
     /** nullptr unless this is a secure ccai-backend platform. */
-    sc::PcieSc *pcieSc() { return sc_; }
+    sc::PcieSc *pcieSc() { return sc_.get(); }
     tvm::Adaptor *adaptor() { return adaptor_.get(); }
     trust::HrotBlade *blade() { return blade_.get(); }
     trust::HrotBlade *cpuHrot() { return cpuHrot_.get(); }
@@ -251,6 +244,13 @@ class Platform
     pcie::AddrRange tenantSlice(pcie::AddrRange region,
                                 std::uint32_t slot) const;
     void installPolicyForAllTenants();
+    /**
+     * The DHKE between @p slot's TVM and the HRoT-Blade, then the
+     * workload keys on both session ends: the PCIe-SC's tenant
+     * session over the slot's D2H and metadata windows, and the
+     * slot's Adaptor.
+     */
+    void negotiateSession(std::uint32_t slot);
     void installRecoveryHooks();
     /** One remote-attestation round (Figure 6) against goldens_. */
     trust::VerifyResult attest(std::uint32_t keyId);
@@ -271,10 +271,10 @@ class Platform
     std::unique_ptr<pcie::RootComplex> rc_;
     std::unique_ptr<tvm::Tvm> tvm_;
     std::unique_ptr<pcie::Switch> switch_;
-    /** Owns the PCIe-SC on the ccai backend (see sc_ below). */
-    std::unique_ptr<backend::ProtectionBackend> backend_;
-    /** Borrowed from backend_; nullptr unless Kind::CcaiSc. */
-    sc::PcieSc *sc_ = nullptr;
+    /** nullptr unless this is a secure ccai-backend platform. */
+    std::unique_ptr<sc::PcieSc> sc_;
+    /** What a rival backend charges the runtime and the xPU. */
+    backend::CostModel rivalCost_;
     std::unique_ptr<xpu::XpuDevice> xpu_;
     std::unique_ptr<pcie::DuplexLink> rcSwitchLink_;
     std::unique_ptr<pcie::DuplexLink> switchScLink_;

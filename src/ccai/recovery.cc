@@ -83,7 +83,7 @@ RecoveryManager::startWatchdog(Tick horizon)
 void
 RecoveryManager::scheduleBeat()
 {
-    eventq().rescheduleIn(&beatTimer_, config_.heartbeatPeriod);
+    eventq().rescheduleIn(&beatTimer_, kHeartbeatPeriod);
 }
 
 bool
@@ -164,7 +164,7 @@ RecoveryManager::startProbeRound(bool fromOpTimeout)
         round_.xpuOk = true;
     }
 
-    eventq().rescheduleIn(&probeTimer_, config_.probeDeadline);
+    eventq().rescheduleIn(&probeTimer_, kProbeDeadline);
 }
 
 void
@@ -207,7 +207,7 @@ RecoveryManager::evaluateProbeRound()
         ++suspectRounds_;
     }
 
-    if (suspectRounds_ >= config_.suspectRounds)
+    if (suspectRounds_ >= kSuspectRounds)
         beginEpisode(*blame);
     else
         startProbeRound(fromOpTimeout); // confirm before resetting
@@ -349,7 +349,7 @@ RecoveryManager::runResetPhase()
     for (Tick &since : outstandingSince_)
         since = 0;
 
-    eventq().scheduleIn(config_.resetLatency,
+    eventq().scheduleIn(kResetLatency,
                         [this, gen = episodeGen_] {
                             if (episodeActive_ && gen == episodeGen_)
                                 runReattestPhase();
@@ -381,7 +381,7 @@ RecoveryManager::reattestSlot(std::size_t idx)
     }
 
     eventq().scheduleIn(
-        config_.reattestLatency, [this, gen = episodeGen_, idx] {
+        kReattestLatency, [this, gen = episodeGen_, idx] {
             if (!episodeActive_ || gen != episodeGen_)
                 return;
             const std::uint32_t slot = episodeOrder_[idx];
@@ -397,13 +397,13 @@ RecoveryManager::reattestSlot(std::size_t idx)
             s_.reattestFailures.inc();
             warn("recovery: re-attestation failed for slot %u "
                  "(attempt %d/%d)",
-                 slot, episodeAttempts_, config_.maxEpisodeAttempts);
-            if (episodeAttempts_ >= config_.maxEpisodeAttempts) {
+                 slot, episodeAttempts_, kMaxEpisodeAttempts);
+            if (episodeAttempts_ >= kMaxEpisodeAttempts) {
                 quarantine(slot, "re-attestation kept failing");
                 episodeAttempts_ = 0;
             }
             // Tear everything down again and retry the whole pass:
-            // each maxEpisodeAttempts window either succeeds or
+            // each kMaxEpisodeAttempts window either succeeds or
             // quarantines at least one slot, so this terminates.
             runResetPhase();
         });
@@ -560,7 +560,7 @@ RecoveryManager::opDeadline(const GuardedOp &op) const
 {
     return config_.opDeadlineMargin + op.duration +
            static_cast<Tick>(op.data.size()) *
-               config_.opDeadlinePerByte;
+               kOpDeadlinePerByte;
 }
 
 void
@@ -666,7 +666,7 @@ RecoveryManager::onOpDeadline(std::uint32_t slot, std::uint64_t id,
     s_.opDeadlines.inc();
     if (episodeActive_ || tenant.quarantined)
         return; // recovery in progress will replay or fail it
-    if (tenant.ops.front().attempts >= config_.maxOpAttempts) {
+    if (tenant.ops.front().attempts >= kMaxOpAttempts) {
         quarantine(slot, "guarded op kept timing out");
         return;
     }

@@ -38,37 +38,38 @@
 namespace ccai
 {
 
+/** Period of the health-monitor heartbeat. */
+inline constexpr Tick kHeartbeatPeriod = 1 * kTicksPerMs;
+/**
+ * Round-trip deadline for one liveness probe (MMIO heartbeat to the
+ * PCIe-SC, status read from the xPU). Must exceed the worst-case
+ * queueing a probe completion can see behind bulk traffic, and stay
+ * well below the ARQ exhaustion time so the watchdog detects a hang
+ * before retries fabricate aborts.
+ */
+inline constexpr Tick kProbeDeadline = 500 * kTicksPerUs;
+/** Consecutive failed probe rounds before recovery starts. */
+inline constexpr int kSuspectRounds = 2;
+/** Modeled component reset / firmware reboot time. */
+inline constexpr Tick kResetLatency = 400 * kTicksPerUs;
+/** Modeled per-tenant re-attestation handshake time. */
+inline constexpr Tick kReattestLatency = 200 * kTicksPerUs;
+/** Extra guarded-op deadline per payload byte (crypto + wire). */
+inline constexpr Tick kOpDeadlinePerByte = 400; ///< ticks (ps) per byte
+/**
+ * Whole-platform reset+re-attest attempts per episode before the
+ * slot whose re-attestation keeps failing is quarantined.
+ */
+inline constexpr int kMaxEpisodeAttempts = 3;
+/** Issue attempts per guarded op before its tenant is deemed
+ * unrecoverable. */
+inline constexpr int kMaxOpAttempts = 5;
+
 /** Watchdog / recovery tuning. */
 struct RecoveryConfig
 {
-    /** Period of the health-monitor heartbeat. */
-    Tick heartbeatPeriod = 1 * kTicksPerMs;
-    /**
-     * Round-trip deadline for one liveness probe (MMIO heartbeat to
-     * the PCIe-SC, status read from the xPU). Must exceed the
-     * worst-case queueing a probe completion can see behind bulk
-     * traffic, and stay well below the ARQ exhaustion time so the
-     * watchdog detects a hang before retries fabricate aborts.
-     */
-    Tick probeDeadline = 500 * kTicksPerUs;
-    /** Consecutive failed probe rounds before recovery starts. */
-    int suspectRounds = 2;
-    /** Modeled component reset / firmware reboot time. */
-    Tick resetLatency = 400 * kTicksPerUs;
-    /** Modeled per-tenant re-attestation handshake time. */
-    Tick reattestLatency = 200 * kTicksPerUs;
     /** Flat completion-deadline margin for guarded operations. */
     Tick opDeadlineMargin = 20 * kTicksPerMs;
-    /** Extra deadline per payload byte (covers crypto + wire time). */
-    Tick opDeadlinePerByte = 400; ///< ticks (ps) per byte
-    /**
-     * Whole-platform reset+re-attest attempts per episode before the
-     * slot whose re-attestation keeps failing is quarantined.
-     */
-    int maxEpisodeAttempts = 3;
-    /** Issue attempts per guarded op before its tenant is deemed
-     * unrecoverable. */
-    int maxOpAttempts = 5;
     /**
      * Episodes in which a tenant may have its in-flight work replayed
      * before it is quarantined as repeatedly-failing. The default
@@ -109,7 +110,7 @@ class RecoveryManager : public sim::SimObject
         /**
          * Repair every crashed component, scrub the device (EnvGuard)
          * and tear down all sessions + transport state. Synchronous;
-         * the manager charges resetLatency afterwards.
+         * the manager charges kResetLatency afterwards.
          */
         std::function<void(FaultDomain blamed)> resetPlatform;
         /** Re-run attestation + DHKE + key derivation for one slot;

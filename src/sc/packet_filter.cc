@@ -7,10 +7,6 @@
 namespace ccai::sc
 {
 
-PacketFilter::PacketFilter(const FilterTiming &timing) : timing_(timing)
-{
-}
-
 void
 PacketFilter::install(const backend::RuleTables &tables)
 {
@@ -187,13 +183,13 @@ PacketFilter::lookupDelay(const pcie::Tlp &tlp) const
     // Malformed packets die in the header-validation stage of the
     // L1 pipeline; they never reach L2 or the TLB.
     if (tlp.headerAnomaly() != pcie::TlpAnomaly::None)
-        return timing_.l1LookupLatency;
+        return kL1LookupLatency;
     const std::uint64_t key = tlbKey(tlp);
     const TlbEntry &entry = tlb_[tlbIndex(key)];
     if (entry.valid && entry.generation == generation_ &&
         entry.key == key)
-        return timing_.tlbHitLatency;
-    return timing_.l1LookupLatency + timing_.l2LookupLatency;
+        return kTlbHitLatency;
+    return kL1LookupLatency + kL2LookupLatency;
 }
 
 double

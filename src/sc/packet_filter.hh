@@ -32,14 +32,11 @@
 namespace ccai::sc
 {
 
-/** Per-TLP-unit lookup latency of the filter pipeline. */
-struct FilterTiming
-{
-    Tick l1LookupLatency = 16 * kTicksPerNs;
-    Tick l2LookupLatency = 24 * kTicksPerNs;
-    /** Service time when the rule TLB resolves the TLP. */
-    Tick tlbHitLatency = 2 * kTicksPerNs;
-};
+/** Per-TLP-unit lookup latencies of the filter pipeline. */
+inline constexpr Tick kL1LookupLatency = 16 * kTicksPerNs;
+inline constexpr Tick kL2LookupLatency = 24 * kTicksPerNs;
+/** Service time when the rule TLB resolves the TLP. */
+inline constexpr Tick kTlbHitLatency = 2 * kTicksPerNs;
 
 /**
  * Packet Filter with encrypted dynamic configuration.
@@ -54,8 +51,6 @@ class PacketFilter
   public:
     /** Direct-mapped rule-TLB size (entries). */
     static constexpr size_t kTlbEntries = 64;
-
-    explicit PacketFilter(const FilterTiming &timing = {});
 
     /** Install plaintext tables directly (boot-time defaults). */
     void install(const backend::RuleTables &tables);
@@ -146,7 +141,6 @@ class PacketFilter
     static size_t tlbIndex(std::uint64_t key);
 
     backend::RuleTables tables_;
-    FilterTiming timing_;
     std::optional<crypto::AesGcm> configKey_;
     obs::Counter classified_;
     obs::Counter blocked_;

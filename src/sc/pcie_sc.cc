@@ -68,7 +68,7 @@ PcieSc::Handles::Handles(obs::MetricGroup &g)
 PcieSc::PcieSc(sim::System &sys, std::string name,
                const PcieScConfig &config)
     : sim::SimObject(sys, std::move(name)), config_(config),
-      filter_(config.filterTiming), gcmEngine_(config.engineTiming),
+      gcmEngine_(config.engineTiming),
       stats_(sys.metrics(), this->name()), s_(stats_),
       upArqStats_(stats_),
       rxDown_(stats_,

@@ -55,7 +55,6 @@ constexpr Tick kForwardLatency = 150 * kTicksPerNs;
 /** Configuration knobs of the controller. */
 struct PcieScConfig
 {
-    FilterTiming filterTiming;
     EngineTiming engineTiming;
     /** Records accumulated before an automatic batch flush. */
     std::uint32_t metaBatchSize = 32;

@@ -32,6 +32,7 @@ Adaptor::Handles::Handles(obs::MetricGroup &g)
       tasksEnded(g.counterHandle("tasks_ended")),
       d2hBadRecords(g.counterHandle("d2h_bad_records")),
       metaRingBadTail(g.counterHandle("meta_ring_bad_tail")),
+      d2hSyntheticRecords(g.counterHandle("d2h_synthetic_records")),
       metaRingOccupancy(
           g.histogramHandle("meta_ring_occupancy")),
       cpuQueueTicks(g.histogramHandle("cpu_queue_ticks")),
@@ -516,6 +517,7 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
     if (st->ok.empty() && !st->recs.empty())
         st->ok.assign(st->recs.size(), 0);
     std::vector<std::uint64_t> failed;
+    bool replayable = true;
     if (!st->synthetic && !st->scTerminated && !st->recs.empty()) {
         // Open mirrors prepareH2d: serial cipher fetch (the sharded
         // epoch cache may fill), then parallel verify+decrypt, then
@@ -575,6 +577,14 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
                     name().c_str(),
                     (unsigned long long)rec.chunkId);
                 failed.push_back(rec.chunkId);
+                // The record's own flag may be forged, but it only
+                // matters once the tag has failed: a length-only
+                // device write carries a zero tag and left no replay
+                // copy at the PCIe-SC.
+                if (rec.synthetic) {
+                    s_.d2hSyntheticRecords.inc();
+                    replayable = false;
+                }
                 continue;
             }
             st->ok[i] = 1;
@@ -583,7 +593,8 @@ Adaptor::attemptDecrypt(std::shared_ptr<CollectState> st, int attempt)
         }
     }
 
-    if (!failed.empty() && attempt < pcie::kMaxReadRetries) {
+    if (!failed.empty() && replayable &&
+        attempt < pcie::kMaxReadRetries) {
         // The ciphertext in the bounce buffer was tampered with in
         // flight: ask the controller to replay the affected chunks
         // from its pristine buffer, then re-read and retry.

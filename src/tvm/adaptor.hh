@@ -350,6 +350,11 @@ class Adaptor : public sim::SimObject
          * and a completion-ring tail outside [head, head + slots]. */
         obs::CounterHandle d2hBadRecords;
         obs::CounterHandle metaRingBadTail;
+        /** Records of a real collection that failed their tag check
+         * and claim a length-only device write: the PCIe-SC sealed
+         * nothing and kept no replay copy, so the collection fails
+         * at once instead of asking for replays. */
+        obs::CounterHandle d2hSyntheticRecords;
 
         /** Completion-ring occupancy (produced - consumed) sampled
          * at each batched record reap. */

@@ -112,13 +112,13 @@ Runtime::memcpyH2DPiece(Addr devAddr, std::shared_ptr<const Bytes> data,
     Tick copy = kind == TransferKind::KvSwap
                     ? 0
                     : tvm_.memcpyDelay(length);
-    if (protection_) {
+    if (cost_) {
         // Rival cost model: the CPU seals the payload into the
         // encrypted bounce buffer before the device may pull it.
         // KV swaps get no exemption — without an on-path crypto
         // engine there is no line-rate path to ride.
-        copy += protection_->hostSealDelay(length);
-        copy += protection_->perTransferSetup();
+        copy += cost_->hostSealDelay(length);
+        copy += cost_->perTransferSetup;
     }
     eventq().scheduleIn(copy,
                         [submit_dma = std::move(submit_dma), staging] {
@@ -197,9 +197,9 @@ Runtime::memcpyD2HPiece(Addr devAddr, std::uint64_t length,
         Tick copy = kind == TransferKind::KvSwap
                         ? 0
                         : tvm_.memcpyDelay(length);
-        if (protection_) {
-            copy += protection_->hostOpenDelay(length);
-            copy += protection_->perTransferSetup();
+        if (cost_) {
+            copy += cost_->hostOpenDelay(length);
+            copy += cost_->perTransferSetup;
         }
         eventq().scheduleIn(copy, [this, staging, length, synthetic,
                                    done = std::move(done)]() {
@@ -220,7 +220,7 @@ Runtime::beginRequest(DoneCb done)
     }
     // Rival backends charge their per-request setup (command-buffer
     // authentication, granule delegation, ...) here.
-    Tick setup = protection_ ? protection_->perRequestSetup() : 0;
+    Tick setup = cost_ ? cost_->perRequestSetup : 0;
     eventq().scheduleIn(setup, std::move(done));
 }
 
@@ -230,12 +230,11 @@ Runtime::launchKernel(Tick duration)
     xpu::XpuCommand cmd;
     cmd.type = xpu::XpuCmdType::LaunchKernel;
     cmd.duration = duration;
-    if (protection_) {
+    if (cost_) {
         // Confidential-compute mode costs the rivals a fixed factor
         // on kernel time (encrypted HBM / stage-2 translation).
         cmd.duration = static_cast<Tick>(
-            static_cast<double>(cmd.duration) *
-            protection_->computeOverhead());
+            static_cast<double>(cmd.duration) * cost_->computeOverhead);
     }
     driver_.submitCommand(cmd);
 }

@@ -18,7 +18,7 @@
 
 namespace ccai::backend
 {
-class ProtectionBackend;
+struct CostModel;
 } // namespace ccai::backend
 
 namespace ccai::tvm
@@ -60,21 +60,13 @@ class Runtime : public sim::SimObject
     RuntimeMode mode() const { return mode_; }
 
     /**
-     * Attach a cost-modelled protection backend (H100-CC / ACAI
-     * rivals). A Vanilla-mode runtime with a backend attached
-     * charges the backend's host seal/open rates, per-transfer and
-     * per-request setup, and compute-overhead factor on top of the
-     * plain data path. nullptr (the default) charges nothing; the
-     * ccai backend's costs come from the simulated PCIe-SC instead.
+     * Charge a rival design's cost model (H100-CC / ACAI) on a
+     * Vanilla-mode runtime: its host seal/open rates, per-transfer
+     * and per-request setup, and compute-overhead factor on top of
+     * the plain data path. nullptr (the default) charges nothing;
+     * a ccAI platform's costs come from the simulated PCIe-SC.
      */
-    void setProtection(const backend::ProtectionBackend *b)
-    {
-        protection_ = b;
-    }
-    const backend::ProtectionBackend *protection() const
-    {
-        return protection_;
-    }
+    void setCostModel(const backend::CostModel *cost) { cost_ = cost; }
 
     /**
      * Copy host data to device memory (synchronous semantics: @p
@@ -146,7 +138,7 @@ class Runtime : public sim::SimObject
     XpuDriver &driver_;
     RuntimeMode mode_;
     Adaptor *adaptor_;
-    const backend::ProtectionBackend *protection_ = nullptr;
+    const backend::CostModel *cost_ = nullptr;
     Addr stagingCursor_ = 0;
 };
 

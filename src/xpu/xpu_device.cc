@@ -215,9 +215,7 @@ XpuDevice::startNextCommand()
         // crypto engines before anything leaves the die. Zero delay
         // (no backend, or one without device crypto) keeps the
         // direct synchronous path.
-        Tick crypt = protection_
-                         ? protection_->deviceCryptoDelay(cmd.length)
-                         : 0;
+        Tick crypt = cost_ ? cost_->deviceCryptoDelay(cmd.length) : 0;
         if (crypt == 0) {
             emitDmaWrite(cmd);
             return;
@@ -323,9 +321,8 @@ XpuDevice::pumpDmaRead()
                 // in the device crypto engines before the command
                 // may retire; zero delay retires directly.
                 Tick crypt =
-                    protection_ ? protection_->deviceCryptoDelay(
-                                      dmaRead_.cmd.length)
-                                : 0;
+                    cost_ ? cost_->deviceCryptoDelay(dmaRead_.cmd.length)
+                          : 0;
                 if (crypt == 0) {
                     finishCommand(dmaRead_.cmd);
                 } else {

@@ -26,7 +26,7 @@
 
 namespace ccai::backend
 {
-class ProtectionBackend;
+struct CostModel;
 } // namespace ccai::backend
 
 namespace ccai::xpu
@@ -99,17 +99,13 @@ class XpuDevice : public sim::SimObject, public pcie::PcieNode
     std::uint64_t retiredCommands() const { return retired_; }
 
     /**
-     * Attach a cost-modelled protection backend. A device with a
-     * backend attached charges its on-die crypto rate (H100-CC's
-     * GCM engines sealing/opening every DMA payload) before bursts
-     * leave the device and before pulled data lands in VRAM.
-     * nullptr (the default) charges nothing — vanilla devices and
-     * the ccai backend, whose crypto runs in the PCIe-SC instead.
+     * Charge a rival design's cost model: its on-die crypto rate
+     * (H100-CC's GCM engines sealing/opening every DMA payload)
+     * before bursts leave the device and before pulled data lands in
+     * VRAM. nullptr (the default) charges nothing — vanilla devices
+     * and ccAI, whose crypto runs in the PCIe-SC instead.
      */
-    void setProtection(const backend::ProtectionBackend *b)
-    {
-        protection_ = b;
-    }
+    void setCostModel(const backend::CostModel *cost) { cost_ = cost; }
 
     obs::MetricGroup &stats() { return stats_; }
     obs::MetricGroup *statGroup() override { return &stats_; }
@@ -130,7 +126,7 @@ class XpuDevice : public sim::SimObject, public pcie::PcieNode
     XpuSpec spec_;
     pcie::Bdf bdf_;
     pcie::Link *up_ = nullptr;
-    const backend::ProtectionBackend *protection_ = nullptr;
+    const backend::CostModel *cost_ = nullptr;
 
     /** MMIO register file, keyed by offset within the MMIO BAR. */
     std::map<Addr, std::uint64_t> regs_;

@@ -155,6 +155,56 @@ TEST_F(SecurePlatformTest, SyntheticBulkTransferCompletes)
               256u);
 }
 
+/**
+ * A device DMA that claims length-only inside a real collection
+ * leaves a D2H record with a zero tag and no replay copy at the
+ * PCIe-SC. The Adaptor fails that collection at once with a counted
+ * reason; kChunkRetry rounds could never mend it.
+ */
+TEST_F(SecurePlatformTest, LengthOnlyDeviceWriteFailsRealCollectionAtOnce)
+{
+    const std::uint64_t length = 64 * kKiB;
+    sim::Rng rng(4);
+    platform->xpu().vram().write(0x4000, rng.bytes(length));
+
+    tvm::Adaptor &adaptor = *platform->adaptor();
+    const Addr bounce = adaptor.allocD2hBounce(length);
+    xpu::XpuCommand cmd;
+    cmd.type = xpu::XpuCmdType::DmaToHost;
+    cmd.hostAddr = bounce;
+    cmd.devAddr = mm::kXpuVram.base + 0x4000;
+    cmd.length = length;
+    cmd.synthetic = true;
+    platform->driver().submitCommand(cmd);
+
+    bool collected = false;
+    Bytes got;
+    Tick start = 0, end = 0;
+    platform->driver().fence([&] {
+        start = platform->system().now();
+        adaptor.collectD2h(bounce, length, /*synthetic=*/false,
+                           [&](Bytes d) {
+                               got = std::move(d);
+                               end = platform->system().now();
+                               collected = true;
+                           });
+    });
+    platform->run();
+
+    ASSERT_TRUE(collected);
+    EXPECT_TRUE(got.empty());
+    EXPECT_LT(end - start, 1 * kTicksPerMs);
+    auto &stats = adaptor.stats();
+    EXPECT_EQ(stats.counterHandle("d2h_chunk_retries").value(), 0u);
+    EXPECT_EQ(stats.counterHandle("d2h_synthetic_records").value(), 1u);
+    EXPECT_EQ(stats.counterHandle("faults_fatal").value(), 1u);
+    EXPECT_EQ(platform->pcieSc()
+                  ->stats()
+                  .counterHandle("d2h_replay_misses")
+                  .value(),
+              0u);
+}
+
 TEST(SecureNoOpt, UnoptimizedPathStillCorrect)
 {
     PlatformConfig cfg{.secure = true};

@@ -153,8 +153,7 @@ TEST(RuleTlb, PolicyFlipVisibleOnNextTlp)
         filter.applyEncryptedConfig(iv, sealed.ciphertext, sealed.tag));
     EXPECT_GT(filter.policyGeneration(), genBefore);
     EXPECT_EQ(filter.lookupDelay(probe),
-              FilterTiming{}.l1LookupLatency +
-                  FilterTiming{}.l2LookupLatency);
+              kL1LookupLatency + kL2LookupLatency);
     EXPECT_EQ(filter.classify(probe), backend::SecurityAction::A1_Disallow);
     EXPECT_EQ(filter.blocked(), 1u);
 }
@@ -181,7 +180,7 @@ TEST(RuleTlb, RejectedConfigLeavesCacheWarm)
     EXPECT_FALSE(
         filter.applyEncryptedConfig(iv, sealed.ciphertext, sealed.tag));
     EXPECT_EQ(filter.policyGeneration(), gen);
-    EXPECT_EQ(filter.lookupDelay(probe), FilterTiming{}.tlbHitLatency);
+    EXPECT_EQ(filter.lookupDelay(probe), kTlbHitLatency);
     EXPECT_EQ(filter.classify(probe), backend::SecurityAction::A4_Transparent);
     EXPECT_EQ(filter.tlbHits(), 1u);
 }
@@ -207,6 +206,6 @@ TEST(RuleTlb, BurstAmortizationExposedViaUnitCounter)
     // First TLP of the stream pays the walk, the rest of the burst
     // rides it: the warm delay is the TLB hit latency regardless of
     // payload size.
-    EXPECT_EQ(filter.lookupDelay(burst), FilterTiming{}.tlbHitLatency);
+    EXPECT_EQ(filter.lookupDelay(burst), kTlbHitLatency);
     EXPECT_EQ(filter.lookupDelay(burst), filter.lookupDelay(small));
 }

@@ -226,7 +226,7 @@ runSequential(SweepResult &r, std::uint64_t &totalBytes)
     r.tlbHitRate = filter.tlbHitRate();
     r.tlbHits = filter.tlbHits();
     r.tlbMisses = filter.tlbMisses();
-    r.a1Blocked = p.system().sumCounter("a1_blocked");
+    r.a1Blocked = p.metrics().sumCounter("a1_blocked");
 }
 
 /**

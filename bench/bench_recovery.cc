@@ -82,7 +82,7 @@ runSteady(bool watchdog, int ops)
     r.simSeconds = ticksToSeconds(lastDone - t0);
     r.mibPerSec =
         double(ops) * double(kOpBytes) / double(kMiB) / r.simSeconds;
-    r.probeRounds = p.system().sumCounter("probe_rounds");
+    r.probeRounds = p.metrics().sumCounter("probe_rounds");
     return r;
 }
 
@@ -156,7 +156,7 @@ runChaos(ChaosRow row)
     p.run();
 
     row.drained = rec.pendingOps() == 0 && !rec.episodeActive();
-    row.crashes = p.system().sumCounter("crashes_injected");
+    row.crashes = p.metrics().sumCounter("crashes_injected");
     row.episodes = rec.episodes().size();
     for (const auto &ep : rec.episodes()) {
         if (ep.finalState == RecoveryState::Resuming)
@@ -164,10 +164,10 @@ runChaos(ChaosRow row)
         else if (ep.finalState == RecoveryState::Quarantined)
             ++row.quarantinedEpisodes;
     }
-    row.quarantinedTenants = p.system().sumCounter("quarantines");
-    row.opsCompleted = p.system().sumCounter("ops_completed");
-    row.opsFailed = p.system().sumCounter("ops_failed");
-    row.opReplays = p.system().sumCounter("op_replays");
+    row.quarantinedTenants = p.metrics().sumCounter("quarantines");
+    row.opsCompleted = p.metrics().sumCounter("ops_completed");
+    row.opsFailed = p.metrics().sumCounter("ops_failed");
+    row.opReplays = p.metrics().sumCounter("op_replays");
     row.detectLatency = *rec.stats().histogramHandle("detect_latency_ticks").get();
     row.recoveryLatency =
         *rec.stats().histogramHandle("recovery_latency_ticks").get();

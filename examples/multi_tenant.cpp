@@ -68,7 +68,7 @@ main()
 
     // Isolation: what sits in tenant A's bounce window is
     // ciphertext under A's keys; B's keys cannot open it.
-    Addr a_window = platform.adaptor()->config().d2hWindow.base;
+    Addr a_window = platform.adaptor()->windows().d2h.base;
     Bytes a_ciphertext =
         platform.hostMemory().read(a_window, secret_a.size());
     bool leaked = a_ciphertext == secret_a;

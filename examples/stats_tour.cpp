@@ -49,7 +49,7 @@ main()
     std::printf("One 512 KiB confidential round trip + one kernel; "
                 "simulated time %.3f ms.\n\n",
                 ticksToSeconds(platform.system().now()) * 1e3);
-    std::printf("%s", platform.system().dumpStats().c_str());
+    std::printf("%s", platform.metrics().dump().c_str());
 
     std::printf("\nPCR event log of the HRoT-Blade:\n");
     for (const trust::MeasurementEvent &ev :

@@ -155,12 +155,9 @@ Platform::buildTopology()
 
         // The owner TVM gets tenant slot 0 of the bounce/metadata
         // partitions (the whole regions when maxTenants == 1).
-        tvm::AdaptorConfig owner_cfg = config_.adaptorConfig;
-        owner_cfg.h2dWindow = tenantSlice(mm::kBounceH2d, 0);
-        owner_cfg.d2hWindow = tenantSlice(mm::kBounceD2h, 0);
-        owner_cfg.metaWindow = tenantSlice(mm::kMetadataBuffer, 0);
-        adaptor_ = std::make_unique<tvm::Adaptor>(sys_, "adaptor",
-                                                  *tvm_, owner_cfg);
+        adaptor_ = std::make_unique<tvm::Adaptor>(
+            sys_, "adaptor", *tvm_, config_.adaptorConfig,
+            tenantWindows(0));
         driver_ = std::make_unique<tvm::XpuDriver>(
             sys_, "driver", *tvm_, adaptor_.get());
         runtime_ = std::make_unique<tvm::Runtime>(
@@ -403,12 +400,17 @@ Platform::attest(std::uint32_t keyId)
                                  responder);
 }
 
-pcie::AddrRange
-Platform::tenantSlice(pcie::AddrRange region, std::uint32_t slot) const
+tvm::TenantWindows
+Platform::tenantWindows(std::uint32_t slot) const
 {
-    std::uint64_t slice = region.size / std::max(1u, config_.maxTenants);
-    ccai_assert(slot < std::max(1u, config_.maxTenants));
-    return pcie::AddrRange{region.base + slot * slice, slice};
+    const std::uint32_t slots = std::max(1u, config_.maxTenants);
+    ccai_assert(slot < slots);
+    auto slice = [&](pcie::AddrRange region) {
+        const std::uint64_t size = region.size / slots;
+        return pcie::AddrRange{region.base + slot * size, size};
+    };
+    return {slice(mm::kBounceH2d), slice(mm::kBounceD2h),
+            slice(mm::kMetadataBuffer)};
 }
 
 void
@@ -456,12 +458,9 @@ Platform::addTenant(pcie::Bdf bdf)
     tenant->tvm =
         std::make_unique<tvm::Tvm>(sys_, prefix + ".tvm", *rc_, bdf);
 
-    tvm::AdaptorConfig cfg = config_.adaptorConfig;
-    cfg.h2dWindow = tenantSlice(mm::kBounceH2d, slot);
-    cfg.d2hWindow = tenantSlice(mm::kBounceD2h, slot);
-    cfg.metaWindow = tenantSlice(mm::kMetadataBuffer, slot);
     tenant->adaptor = std::make_unique<tvm::Adaptor>(
-        sys_, prefix + ".adaptor", *tenant->tvm, cfg);
+        sys_, prefix + ".adaptor", *tenant->tvm, config_.adaptorConfig,
+        tenantWindows(slot));
     tenant->driver = std::make_unique<tvm::XpuDriver>(
         sys_, prefix + ".driver", *tenant->tvm,
         tenant->adaptor.get());
@@ -565,10 +564,11 @@ Platform::negotiateSession(std::uint32_t slot)
         crypto::computeSharedSecret(sc_keys.priv, tvm_keys.pub);
     ccai_assert(secret_tvm == secret_sc);
 
-    sc_->establishTenant(bdfFor(slot), secret_sc,
-                         tenantSlice(mm::kBounceD2h, slot),
-                         tenantSlice(mm::kMetadataBuffer, slot));
-    adaptorFor(slot).establishSession(secret_tvm);
+    tvm::Adaptor &adaptor = adaptorFor(slot);
+    sc_->establishTenant(bdfFor(slot), secret_sc, adaptor.windows().d2h,
+                         adaptor.windows().meta,
+                         config_.ivExhaustionLimit);
+    adaptor.establishSession(secret_tvm, config_.ivExhaustionLimit);
 }
 
 void

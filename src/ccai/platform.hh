@@ -52,6 +52,14 @@ struct PlatformConfig
     sc::PcieScConfig scConfig;
     tvm::AdaptorConfig adaptorConfig;
     /**
+     * IV-counter value that triggers a key-epoch rotation (the
+     * H100-style IV-exhaustion mitigation, §6) on both session ends:
+     * the Adaptor rotates the H2D keys it seals with, the PCIe-SC
+     * the D2H ones. The default leaves ample space; tests shrink it
+     * to exercise rotation live.
+     */
+    std::uint32_t ivExhaustionLimit = 0xffff0000u;
+    /**
      * Fallback RNG seed; overridden by --seed / CCAI_SEED (see
      * sim::resolveSeed). Platform::seed() reports the effective value.
      */
@@ -241,14 +249,14 @@ class Platform
 
   private:
     void buildTopology();
-    pcie::AddrRange tenantSlice(pcie::AddrRange region,
-                                std::uint32_t slot) const;
+    /** Slot @p slot's share of the bounce and metadata regions. */
+    tvm::TenantWindows tenantWindows(std::uint32_t slot) const;
     void installPolicyForAllTenants();
     /**
      * The DHKE between @p slot's TVM and the HRoT-Blade, then the
      * workload keys on both session ends: the PCIe-SC's tenant
-     * session over the slot's D2H and metadata windows, and the
-     * slot's Adaptor.
+     * session over the D2H and metadata windows of the slot's
+     * Adaptor, and the Adaptor itself.
      */
     void negotiateSession(std::uint32_t slot);
     void installRecoveryHooks();

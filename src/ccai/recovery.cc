@@ -725,41 +725,4 @@ RecoveryManager::quarantined(std::uint32_t slot) const
     return it != tenants_.end() && it->second.quarantined;
 }
 
-void
-RecoveryManager::reset()
-{
-    watchdogArmed_ = false;
-    if (beatTimer_.scheduled())
-        eventq().deschedule(&beatTimer_);
-    ++probeGen_;
-    if (probeTimer_.scheduled())
-        eventq().deschedule(&probeTimer_);
-    probeInFlight_ = false;
-    suspectRounds_ = 0;
-    suspectAt_ = 0;
-    episodeActive_ = false;
-    ++episodeGen_;
-    episodeAttempts_ = 0;
-    episodeOrder_.clear();
-    episodes_.clear();
-    horizon_ = 0;
-    for (Tick &since : outstandingSince_)
-        since = 0;
-    state_ = RecoveryState::Healthy;
-    stateSince_ = 0;
-    // Power-on: journals are dropped without completion (their
-    // callbacks' context died with the run) and quarantine lifts.
-    for (auto &[slot, tenant] : tenants_) {
-        tenant.state = RecoveryState::Healthy;
-        tenant.quarantined = false;
-        tenant.replayEpisodes = 0;
-        tenant.ops.clear();
-        if (tenant.opTimer && tenant.opTimer->scheduled())
-            eventq().deschedule(tenant.opTimer.get());
-    }
-    quarantinedBdfs_.clear();
-    opSubmitTick_.clear();
-    stats_.reset();
-}
-
 } // namespace ccai

@@ -211,9 +211,6 @@ class RecoveryManager : public sim::SimObject
     bool episodeActive() const { return episodeActive_; }
 
     obs::MetricGroup &stats() { return stats_; }
-    obs::MetricGroup *statGroup() override { return &stats_; }
-
-    void reset() override;
 
   private:
     struct GuardedOp

@@ -20,17 +20,6 @@ MetricGroup::~MetricGroup()
         registry_->remove(this);
 }
 
-void
-MetricGroup::reset()
-{
-    for (auto &kv : counters_)
-        kv.second.reset();
-    for (auto &kv : gauges_)
-        kv.second.reset();
-    for (auto &kv : hists_)
-        kv.second.reset();
-}
-
 std::string
 MetricGroup::dump() const
 {
@@ -118,11 +107,13 @@ MetricsRegistry::sumCounter(const std::string &name) const
     return total;
 }
 
-void
-MetricsRegistry::resetAll()
+std::string
+MetricsRegistry::dump() const
 {
-    for (MetricGroup *g : groups_)
-        g->reset();
+    std::string out;
+    for (const MetricGroup *g : groups_)
+        out += g->dump();
+    return out;
 }
 
 void

@@ -91,8 +91,6 @@ class MetricGroup
 
     const std::string &prefix() const { return prefix_; }
 
-    void reset();
-
     /** Render all stats as "prefix.name value" lines. */
     std::string dump() const;
 
@@ -132,10 +130,12 @@ class MetricsRegistry
     /** First group with exactly @p prefix; nullptr when absent. */
     MetricGroup *find(std::string_view prefix) const;
 
-    /** Sum a named counter across every registered group. */
+    /** Sum a named counter across every registered group, e.g.
+     * "faults_injected" over all links. */
     std::uint64_t sumCounter(const std::string &name) const;
 
-    void resetAll();
+    /** Every group's dump(), in registration order (gem5-style). */
+    std::string dump() const;
 
     /**
      * Snapshot of every group keyed by prefix (sorted), suitable for

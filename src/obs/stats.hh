@@ -33,7 +33,6 @@ class Counter
 
     void inc(std::uint64_t by = 1) { value_ += by; }
     std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
@@ -48,7 +47,6 @@ class Gauge
     void set(double v) { value_ = v; }
     void add(double by) { value_ += by; }
     double value() const { return value_; }
-    void reset() { value_ = 0.0; }
 
   private:
     double value_ = 0.0;

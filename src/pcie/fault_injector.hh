@@ -148,14 +148,6 @@ class FaultInjector
      * targets. */
     static bool carriesCiphertext(const Tlp &tlp);
 
-    void
-    reset()
-    {
-        rng_ = sim::Rng(config_.seed ^ sim::seedHash(salt_));
-        flapUntil_ = 0;
-        corruptCount_ = 0;
-    }
-
   private:
     FaultConfig config_;
     std::string salt_;

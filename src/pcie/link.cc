@@ -166,17 +166,6 @@ Link::send(const TlpPtr &tlp)
     }
 }
 
-void
-Link::reset()
-{
-    busyUntil_ = 0;
-    held_.reset();
-    ++holdGen_;
-    if (injector_)
-        injector_->reset();
-    stats_.reset();
-}
-
 DuplexLink::DuplexLink(sim::System &sys, const std::string &name,
                        PcieNode *a, PcieNode *b,
                        const LinkConfig &config)

@@ -98,12 +98,9 @@ class Link : public sim::SimObject
     void setFaultConfig(const FaultConfig &config);
 
     obs::MetricGroup &stats() { return stats_; }
-    obs::MetricGroup *statGroup() override { return &stats_; }
 
     /** Serialization time for one TLP (all its wire units). */
     Tick serializationDelay(const Tlp &tlp) const;
-
-    void reset() override;
 
   private:
     /** Schedule delivery of @p tlp at @p when. */

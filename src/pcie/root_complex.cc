@@ -283,13 +283,4 @@ RootComplex::abortTransport()
     rxUp_.clear();
 }
 
-void
-RootComplex::reset()
-{
-    outstanding_.clear();
-    nextTag_ = 0;
-    rxUp_.clear();
-    stats_.reset();
-}
-
 } // namespace ccai::pcie

@@ -117,10 +117,7 @@ class RootComplex : public sim::SimObject, public PcieNode
     const std::string &nodeName() const override { return name(); }
 
     obs::MetricGroup &stats() { return stats_; }
-    obs::MetricGroup *statGroup() override { return &stats_; }
     HostMemory &memory() { return mem_; }
-
-    void reset() override;
 
   private:
     /** One in-flight non-posted request, kept for retransmission. */

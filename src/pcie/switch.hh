@@ -64,9 +64,6 @@ class Switch : public sim::SimObject, public PcieNode
     const std::string &nodeName() const override { return name(); }
 
     obs::MetricGroup &stats() { return stats_; }
-    obs::MetricGroup *statGroup() override { return &stats_; }
-
-    void reset() override { stats_.reset(); }
 
   private:
     int routePort(const Tlp &tlp) const;

@@ -100,7 +100,8 @@ PcieSc::connectDownstream(pcie::Link *down, pcie::PcieNode *downNeighbor)
 void
 PcieSc::establishTenant(pcie::Bdf tenant, const Bytes &sessionSecret,
                         pcie::AddrRange d2hWindow,
-                        pcie::AddrRange metaWindow)
+                        pcie::AddrRange metaWindow,
+                        std::uint32_t ivExhaustionLimit)
 {
     auto [it, inserted] = sessions_.try_emplace(
         tenant.raw(), config_.engineTiming);
@@ -110,7 +111,7 @@ PcieSc::establishTenant(pcie::Bdf tenant, const Bytes &sessionSecret,
              name().c_str(), tenant.toString().c_str());
 
     s.keys = std::make_unique<trust::WorkloadKeyManager>(
-        sessionSecret, config_.ivExhaustionLimit);
+        sessionSecret, ivExhaustionLimit);
     s.signer.setKey(
         crypto::kdf(sessionSecret, {}, "ccai-a3-integrity", 32));
     s.d2hWindow = d2hWindow;
@@ -1066,22 +1067,6 @@ PcieSc::onSensitiveReadDeadline(std::uint8_t tag)
         tracer_->instant(traceTrack(), "read.retry", curTick());
     forward(std::make_shared<Tlp>(*p.request), true, 0);
     armSensitiveReadTimer(tag);
-}
-
-void
-PcieSc::reset()
-{
-    sessions_.clear();
-    ownerTenant_ = 0;
-    pendingSensitiveReads_.clear();
-    recentCompleted_.clear();
-    upTx_.clear();
-    rxDown_.clear();
-    upBusyUntil_ = 0;
-    downBusyUntil_ = 0;
-    hung_ = false;
-    heartbeatBeats_ = 0;
-    stats_.reset();
 }
 
 } // namespace ccai::sc

@@ -59,12 +59,6 @@ struct PcieScConfig
     /** Records accumulated before an automatic batch flush. */
     std::uint32_t metaBatchSize = 32;
     /**
-     * IV-counter value that triggers a key-epoch rotation (the
-     * H100-style IV-exhaustion mitigation, §6). The default leaves
-     * ample space; tests shrink it to exercise rotation live.
-     */
-    std::uint32_t ivExhaustionLimit = 0xffff0000u;
-    /**
      * Wall-clock lanes the A2 data engines split one payload across
      * (segmented-GHASH parallel GCM; bit-identical tags at any
      * width). Purely a host-side execution knob: simulated engine
@@ -93,13 +87,16 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
      * derive its workload keys, A3 integrity key, and — for the
      * first tenant only — the filter config key. @p d2hWindow
      * attributes device result writes to this tenant; @p metaWindow
-     * is where its record batches are delivered. The tenant starts
-     * in completion-ring mode until its Adaptor's kControl write
-     * says otherwise.
+     * is where its record batches are delivered. The D2H keys this
+     * end seals with rotate to a new epoch when their IV counter
+     * reaches @p ivExhaustionLimit. The tenant starts in
+     * completion-ring mode until its Adaptor's kControl write says
+     * otherwise.
      */
     void establishTenant(pcie::Bdf tenant, const Bytes &sessionSecret,
                          pcie::AddrRange d2hWindow,
-                         pcie::AddrRange metaWindow);
+                         pcie::AddrRange metaWindow,
+                         std::uint32_t ivExhaustionLimit);
 
     /** Install the boot-time packet policy. */
     void installPolicy(const backend::RuleTables &tables);
@@ -134,7 +131,6 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     PacketFilter &filter() { return filter_; }
     EnvGuard &envGuard() { return envGuard_; }
     obs::MetricGroup &stats() { return stats_; }
-    obs::MetricGroup *statGroup() override { return &stats_; }
 
     bool sessionEstablished() const { return !sessions_.empty(); }
     size_t tenantCount() const { return sessions_.size(); }
@@ -142,8 +138,6 @@ class PcieSc : public sim::SimObject, public pcie::PcieNode
     trust::WorkloadKeyManager *keyManager();
     /** A specific tenant's key manager (nullptr when absent). */
     trust::WorkloadKeyManager *keyManagerFor(pcie::Bdf tenant);
-
-    void reset() override;
 
   private:
     /** Encrypted D2H TLPs kept for chunk-retry replays per tenant. */

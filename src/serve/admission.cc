@@ -44,13 +44,6 @@ TokenBucket::tryTake(Tick now)
     return true;
 }
 
-void
-TokenBucket::reset()
-{
-    tokens_ = burst_;
-    lastRefill_ = 0;
-}
-
 AdmissionController::AdmissionController(const AdmissionConfig &config,
                                          std::uint32_t tenants)
     : config_(config)
@@ -83,13 +76,6 @@ AdmissionController::decide(const AdmitContext &ctx)
         ctx.estimatedCompletion > ctx.deadline)
         return AdmitDecision::ShedDeadline;
     return AdmitDecision::Admit;
-}
-
-void
-AdmissionController::reset()
-{
-    for (TokenBucket &bucket : buckets_)
-        bucket.reset();
 }
 
 } // namespace ccai::serve

@@ -79,11 +79,6 @@ class TokenBucket
     /** Consume one token at @p now; false when the bucket is dry. */
     bool tryTake(Tick now);
 
-    /** Refill to a full burst and restart the clock (replay). */
-    void reset();
-
-    double tokens() const { return tokens_; }
-
   private:
     double ratePerTick_ = 0.0;
     double burst_ = 0.0;
@@ -135,9 +130,6 @@ class AdmissionController
      * request — standard bucket semantics, and deterministic).
      */
     AdmitDecision decide(const AdmitContext &ctx);
-
-    /** Refill every bucket (reset-replay support). */
-    void reset();
 
     const AdmissionConfig &config() const { return config_; }
 

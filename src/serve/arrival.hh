@@ -55,9 +55,6 @@ class ArrivalProcess
         return !gaps_.empty() && cursor_ >= gaps_.size();
     }
 
-    /** Rewind a trace to its first gap (reset-replay support). */
-    void restart() { cursor_ = 0; }
-
     /**
      * Draw the gap until the next arrival. Poisson gaps come from
      * inverting the exponential CDF with this tenant's own Rng

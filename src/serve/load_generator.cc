@@ -124,9 +124,9 @@ LoadGenerator::LoadGenerator(sim::System &sys, std::string name,
         tenants_.push_back(std::move(t));
     }
 
-    chaosSeed_ =
+    const std::uint64_t chaosSeed =
         config_.seed ^ sim::seedHash(this->name() + "/chaos");
-    chaosRng_ = sim::Rng(chaosSeed_);
+    chaosRng_ = sim::Rng(chaosSeed);
     chaosTimer_.setCallback([this] { onCrash(); },
                             "serve-chaos-crash");
     probeTimer_.setCallback([this] { onHealthProbe(); },
@@ -143,7 +143,7 @@ LoadGenerator::LoadGenerator(sim::System &sys, std::string name,
                       });
         } else {
             CrashConfig cc;
-            cc.seed = chaosSeed_;
+            cc.seed = chaosSeed;
             cc.xpuPerSec = config_.chaos.xpuCrashesPerSec;
             cc.horizon = config_.horizon;
             crashInjector_.configure(cc);
@@ -235,7 +235,6 @@ LoadGenerator::onArrival(std::uint32_t tenant)
     req.firstArrival = curTick();
     req.deadline = curTick() + config_.profile.sloDeadline;
     ++t.issued;
-    ++arrivals_;
     s_.arrivals.inc();
     attemptAdmit(std::move(req), /*rerouted=*/false);
 
@@ -252,7 +251,6 @@ LoadGenerator::onArrival(std::uint32_t tenant)
 void
 LoadGenerator::attemptAdmit(Request req, bool rerouted)
 {
-    ++attempts_;
     s_.issued.inc();
 
     std::optional<std::uint32_t> device;
@@ -278,7 +276,6 @@ LoadGenerator::attemptAdmit(Request req, bool rerouted)
 
     AdmitDecision decision = admission_.decide(ctx);
     if (decision == AdmitDecision::Admit) {
-        ++admitted_;
         s_.admitted.inc();
         enqueue(std::move(req), *device);
         return;
@@ -292,21 +289,18 @@ LoadGenerator::recordShedAttempt(AdmitDecision decision)
 {
     // Per-attempt reason counters: one request can be rate-shed
     // several times across its retries, so these sum to shed
-    // attempts, not to finally-shed requests (shedOnAdmit_).
+    // attempts, not to finally-shed requests (shed_on_admit).
     switch (decision) {
       case AdmitDecision::ShedRate:
-        ++shedRate_;
         s_.shedRate.inc();
         break;
       case AdmitDecision::ShedQueueFull:
-        ++shedQueueFull_;
         s_.shedQueueFull.inc();
         break;
       case AdmitDecision::ShedDeadline:
         ++shedDeadlineAdmit_;
         break;
       case AdmitDecision::ShedNoDevice:
-        ++shedNoDevice_;
         s_.shedNoDevice.inc();
         break;
       case AdmitDecision::Admit:
@@ -346,7 +340,6 @@ LoadGenerator::scheduleRetryOrGiveUp(Request req,
 
     if (rc.enabled && transient && req.attempts >= rc.maxAttempts)
         ++retriesExhausted_;
-    ++shedOnAdmit_;
     s_.shedOnAdmit.inc();
 }
 
@@ -375,7 +368,6 @@ LoadGenerator::onRetryDue(std::uint32_t tenant)
     }
     for (Request &req : due) {
         ++req.attempts;
-        ++retries_;
         s_.retries.inc();
         attemptAdmit(std::move(req), /*rerouted=*/false);
     }
@@ -414,7 +406,6 @@ LoadGenerator::startNext(std::uint32_t device)
             admission_.config().deadlineShedding &&
             curTick() + req.estimate > req.deadline) {
             router_.releaseBacklog(device, req.estimate);
-            ++shedOnDeadline_;
             s_.shedOnDeadline.inc();
             continue;
         }
@@ -479,14 +470,12 @@ LoadGenerator::finishRequest(std::uint32_t device)
                              ? config_.profile.genTokens /
                                    decodeSeconds
                              : 0.0);
-    ++completed_;
     s_.completed.inc();
 
     // Per-request deadline accounting: a miss is charged exactly
     // when this request completed late — never the old shared
     // per-tenant timer, which undercounted under queueing.
     if (curTick() > req.deadline) {
-        ++sloMisses_;
         s_.sloMisses.inc();
         missTicks_.push_back(curTick());
     }
@@ -518,7 +507,6 @@ LoadGenerator::onCrash()
     if (!healthy.empty()) {
         std::uint32_t victim = healthy[chaosRng_.uniform(
             0, healthy.size() - 1)];
-        ++crashes_;
         s_.crashes.inc();
         crashTicks_.push_back(curTick());
 
@@ -570,7 +558,6 @@ LoadGenerator::reroute(Request req)
     }
     if (config_.secure)
         req.extraSetup += cost_.sessionEstablishTicks;
-    ++rerouted_;
     s_.rerouted.inc();
     enqueue(std::move(req), *device);
 }
@@ -618,28 +605,28 @@ ServeReport
 LoadGenerator::report() const
 {
     ServeReport r;
-    r.issued = attempts_;
-    r.arrivals = arrivals_;
-    r.admitted = admitted_;
-    r.completed = completed_;
-    r.sloMisses = sloMisses_;
-    r.shedOnAdmit = shedOnAdmit_;
-    r.shedOnDeadline = shedOnDeadline_;
-    r.shedRate = shedRate_;
-    r.shedQueueFull = shedQueueFull_;
+    r.issued = s_.issued.value();
+    r.arrivals = s_.arrivals.value();
+    r.admitted = s_.admitted.value();
+    r.completed = s_.completed.value();
+    r.sloMisses = s_.sloMisses.value();
+    r.shedOnAdmit = s_.shedOnAdmit.value();
+    r.shedOnDeadline = s_.shedOnDeadline.value();
+    r.shedRate = s_.shedRate.value();
+    r.shedQueueFull = s_.shedQueueFull.value();
     r.shedDeadlineAdmit = shedDeadlineAdmit_;
-    r.shedNoDevice = shedNoDevice_;
-    r.retries = retries_;
+    r.shedNoDevice = s_.shedNoDevice.value();
+    r.retries = s_.retries.value();
     r.retriesExhausted = retriesExhausted_;
-    r.rerouted = rerouted_;
-    r.crashes = crashes_;
+    r.rerouted = s_.rerouted.value();
+    r.crashes = s_.crashes.value();
     r.simSeconds = ticksToSeconds(curTick());
     // Goodput normalizes by the offered-load horizon, not the drain
     // tail, so overload factors compare like for like.
     double horizonSec = ticksToSeconds(config_.horizon);
     if (horizonSec > 0)
         r.goodputPerSec =
-            static_cast<double>(completed_ - sloMisses_) /
+            static_cast<double>(r.completed - r.sloMisses) /
             horizonSec;
     r.ttftP50 = percentile(ttftSeconds_, 50.0);
     r.ttftP95 = percentile(ttftSeconds_, 95.0);
@@ -650,54 +637,6 @@ LoadGenerator::report() const
     r.e2eP95 = percentile(e2eSeconds_, 95.0);
     r.e2eP99 = percentile(e2eSeconds_, 99.0);
     return r;
-}
-
-void
-LoadGenerator::reset()
-{
-    for (auto &t : tenants_) {
-        if (t->arrivalTimer.scheduled())
-            eventq().deschedule(&t->arrivalTimer);
-        if (t->retryTimer.scheduled())
-            eventq().deschedule(&t->retryTimer);
-        t->pendingRetries.clear();
-        t->issued = 0;
-        t->rng = sim::Rng(t->seed);
-        t->retryRng = sim::Rng(t->retrySeed);
-        t->arrivals.restart();
-    }
-    for (auto &d : devices_) {
-        if (d->stepTimer.scheduled())
-            eventq().deschedule(&d->stepTimer);
-        if (d->recoveryTimer.scheduled())
-            eventq().deschedule(&d->recoveryTimer);
-        d->queue.clear();
-        d->busy = false;
-        d->prefilling = false;
-    }
-    if (chaosTimer_.scheduled())
-        eventq().deschedule(&chaosTimer_);
-    if (probeTimer_.scheduled())
-        eventq().deschedule(&probeTimer_);
-    nextCrash_ = 0;
-    chaosRng_ = sim::Rng(chaosSeed_);
-    router_.reset();
-    admission_.reset();
-    orphans_.clear();
-
-    nextRequestId_ = 0;
-    attempts_ = arrivals_ = admitted_ = completed_ = 0;
-    sloMisses_ = 0;
-    shedOnAdmit_ = shedOnDeadline_ = 0;
-    shedRate_ = shedQueueFull_ = shedDeadlineAdmit_ = 0;
-    shedNoDevice_ = 0;
-    retries_ = retriesExhausted_ = rerouted_ = crashes_ = 0;
-    ttftSeconds_.clear();
-    tpsValues_.clear();
-    e2eSeconds_.clear();
-    missTicks_.clear();
-    crashTicks_.clear();
-    stats_.reset();
 }
 
 } // namespace ccai::serve

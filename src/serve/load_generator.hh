@@ -186,8 +186,8 @@ class LoadGenerator : public sim::SimObject
     /** Aggregate results (call after the queue drained). */
     ServeReport report() const;
 
-    std::uint64_t issued() const { return attempts_; }
-    std::uint64_t completed() const { return completed_; }
+    std::uint64_t issued() const { return s_.issued.value(); }
+    std::uint64_t completed() const { return s_.completed.value(); }
 
     /** Completion ticks of late requests (SLO-miss burst analysis). */
     const std::vector<Tick> &missTicks() const { return missTicks_; }
@@ -209,8 +209,6 @@ class LoadGenerator : public sim::SimObject
     {
         return router_.serviceEstimate(device);
     }
-
-    void reset() override;
 
   private:
     struct Request
@@ -234,10 +232,8 @@ class LoadGenerator : public sim::SimObject
 
     struct TenantState
     {
-        sim::Rng rng;
-        sim::Rng retryRng;
-        std::uint64_t seed;      ///< arrival stream seed
-        std::uint64_t retrySeed; ///< backoff jitter seed
+        sim::Rng rng;      ///< arrival stream
+        sim::Rng retryRng; ///< backoff jitter
         ArrivalProcess arrivals;
         std::uint32_t device = 0; ///< round-robin pin (routing off)
         std::uint32_t issued = 0;
@@ -247,10 +243,9 @@ class LoadGenerator : public sim::SimObject
         std::map<std::pair<Tick, std::uint64_t>, Request>
             pendingRetries;
 
-        TenantState(std::uint64_t seed_, std::uint64_t retrySeed_,
+        TenantState(std::uint64_t seed, std::uint64_t retrySeed,
                     ArrivalProcess ap)
-            : rng(seed_), retryRng(retrySeed_), seed(seed_),
-              retrySeed(retrySeed_), arrivals(std::move(ap))
+            : rng(seed), retryRng(retrySeed), arrivals(std::move(ap))
         {}
     };
 
@@ -305,7 +300,6 @@ class LoadGenerator : public sim::SimObject
     std::vector<CrashEvent> crashSchedule_;
     std::size_t nextCrash_ = 0;
     sim::Rng chaosRng_;
-    std::uint64_t chaosSeed_ = 0;
     sim::EventFunctionWrapper chaosTimer_;
     sim::EventFunctionWrapper probeTimer_;
 
@@ -313,21 +307,9 @@ class LoadGenerator : public sim::SimObject
     std::deque<Request> orphans_;
 
     std::uint64_t nextRequestId_ = 0;
-    std::uint64_t attempts_ = 0;
-    std::uint64_t arrivals_ = 0;
-    std::uint64_t admitted_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t sloMisses_ = 0;
-    std::uint64_t shedOnAdmit_ = 0;
-    std::uint64_t shedOnDeadline_ = 0;
-    std::uint64_t shedRate_ = 0;
-    std::uint64_t shedQueueFull_ = 0;
+    /** The two ledger facts without a counter in stats_. */
     std::uint64_t shedDeadlineAdmit_ = 0;
-    std::uint64_t shedNoDevice_ = 0;
-    std::uint64_t retries_ = 0;
     std::uint64_t retriesExhausted_ = 0;
-    std::uint64_t rerouted_ = 0;
-    std::uint64_t crashes_ = 0;
 
     std::vector<double> ttftSeconds_;
     std::vector<double> tpsValues_;

@@ -94,7 +94,8 @@ class FleetRouter
         devices_[d].queueDepth = depth;
     }
 
-    /** All devices Healthy with empty books (reset-replay). */
+    /** All devices Healthy with empty books (the constructor builds
+     * the tree through this). */
     void reset();
 
   private:

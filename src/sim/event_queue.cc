@@ -529,62 +529,6 @@ EventQueue::nextEventTick()
     return t;
 }
 
-void
-EventQueue::reset()
-{
-    auto unhook = [](Event *head) {
-        for (Event *ev = head; ev != nullptr;) {
-            Event *next = ev->next_;
-            ev->where_ = Event::kUnscheduled;
-            ev->queue_ = nullptr;
-            ev->prev_ = nullptr;
-            ev->next_ = nullptr;
-            ev = next;
-        }
-    };
-    unhook(curHead_);
-    curHead_ = curTail_ = nullptr;
-    curCount_ = 0;
-    for (Event *&head : buckets_) {
-        unhook(head);
-        head = nullptr;
-    }
-    for (auto &[tick, head] : overflow_)
-        unhook(head);
-    overflow_.clear();
-    overflowCount_ = 0;
-    for (auto &w : l0Words_)
-        w = 0;
-    l0Summary_ = 0;
-    for (auto &w : levelWord_)
-        w = 0;
-    for (auto &c : levelCount_)
-        c = 0;
-
-    // Actually release memory: the one-shot slabs (and any captured
-    // state still inside recycled nodes) go back to the allocator.
-    slabs_.clear();
-    freeHead_ = nullptr;
-    liveOneShots_ = 0;
-    scratch_.clear();
-    scratch_.shrink_to_fit();
-
-    now_ = 0;
-    nextSeq_ = 0;
-    pending_ = 0;
-    stats_ = Stats{};
-}
-
-void
-EventQueue::shrink()
-{
-    if (liveOneShots_ != 0)
-        return;
-    slabs_.clear();
-    freeHead_ = nullptr;
-    scratch_.shrink_to_fit();
-}
-
 EventQueue::Stats
 EventQueue::snapshotStats() const
 {

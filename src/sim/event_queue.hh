@@ -269,17 +269,6 @@ class EventQueue
         now_ = to;
     }
 
-    /** Drop all pending events, release event-node slabs, and reset
-     * time, sequence numbers and statistics to zero. */
-    void reset();
-
-    /**
-     * Release cached one-shot slab memory when no one-shot events are
-     * live. Soak tests call this and then assert oneShotCapacity
-     * stays bounded across iterations.
-     */
-    void shrink();
-
     // ---- statistics ----
 
     Stats snapshotStats() const;

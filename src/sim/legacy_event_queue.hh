@@ -4,15 +4,11 @@
  * oracle for the timer-wheel EventQueue and as the baseline side of
  * bench_serve_fleet's events/sec comparison.
  *
- * Two defects of the seed version are fixed here (the wheel kernel
- * never had them):
- *  - run()/runUntil() copied events_.top() — a full std::function
- *    copy per dispatched event — before popping. The binary heap is
- *    now managed explicitly with std::pop_heap so the hot event is
- *    moved out of the container instead.
- *  - reset() kept the old container's capacity alive forever. It now
- *    releases the backing store, and shrink()/capacityEvents() let
- *    soak tests assert no unbounded growth.
+ * One defect of the seed version is fixed here (the wheel kernel
+ * never had it): run()/runUntil() copied events_.top() — a full
+ * std::function copy per dispatched event — before popping. The
+ * binary heap is now managed explicitly with std::pop_heap so the
+ * hot event is moved out of the container instead.
  *
  * Ordering contract (identical to EventQueue): (tick, priority,
  * sequence), ties on insertion order.
@@ -79,12 +75,6 @@ class LegacyEventQueue
     /** Number of pending events. */
     size_t pending() const { return events_.size(); }
 
-    /** Heap slots currently allocated (soak-growth assertions). */
-    size_t capacityEvents() const { return events_.capacity(); }
-
-    /** Trim the backing store to the live event count. */
-    void shrink() { events_.shrink_to_fit(); }
-
     /**
      * Run events until the queue drains or @p limit events have been
      * processed.
@@ -128,16 +118,6 @@ class LegacyEventQueue
         ccai_assert(to >= now_);
         ccai_assert(events_.empty());
         now_ = to;
-    }
-
-    /** Drop all pending events, release the backing store, and reset
-     * time to zero. */
-    void
-    reset()
-    {
-        std::vector<Event>().swap(events_);
-        now_ = 0;
-        nextSeq_ = 0;
     }
 
   private:

@@ -1,15 +1,13 @@
 /**
  * @file
  * Base class for simulated components and the System container that
- * owns the event queue they share.
+ * owns the event queue, metrics registry and tracer they share.
  */
 
 #ifndef CCAI_SIM_SIM_OBJECT_HH
 #define CCAI_SIM_SIM_OBJECT_HH
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "obs/metric_group.hh"
 #include "obs/trace.hh"
@@ -21,26 +19,22 @@ namespace ccai::sim
 class System;
 
 /**
- * A named component attached to a System. SimObjects share the
- * system's event queue and are enumerated for reset/statistics.
+ * A named component on a System's shared event queue. Components
+ * that keep statistics register their obs::MetricGroup with the
+ * System's metrics registry, which is the one directory of them.
  */
 class SimObject
 {
   public:
-    SimObject(System &sys, std::string name);
-    virtual ~SimObject() = default;
+    SimObject(System &sys, std::string name)
+        : sys_(sys), name_(std::move(name))
+    {}
 
     const std::string &name() const { return name_; }
     System &system() { return sys_; }
 
     /** Current simulated time (forwarded from the system queue). */
     Tick curTick() const;
-
-    /** Restore power-on state. Called by System::resetAll(). */
-    virtual void reset() {}
-
-    /** Statistics group, when the object keeps one. */
-    virtual obs::MetricGroup *statGroup() { return nullptr; }
 
   protected:
     EventQueue &eventq();
@@ -51,8 +45,9 @@ class SimObject
 };
 
 /**
- * Top-level simulation container: owns the event queue and tracks all
- * SimObjects registered against it.
+ * Top-level simulation container: the event queue, the metrics
+ * registry and the tracer of one simulated machine. A System runs
+ * once; a new run builds a new System.
  */
 class System
 {
@@ -78,64 +73,11 @@ class System
         return eventq_.run(limit);
     }
 
-    /** Reset every registered object and the queue. */
-    void
-    resetAll()
-    {
-        eventq_.reset();
-        for (SimObject *obj : objects_)
-            obj->reset();
-    }
-
-    const std::vector<SimObject *> &objects() const { return objects_; }
-
-    /**
-     * Sum a named counter across every registered object's stat
-     * group. Used by fault/soak tests to aggregate e.g.
-     * "faults_injected" over all links without enumerating them.
-     */
-    std::uint64_t
-    sumCounter(const std::string &name)
-    {
-        std::uint64_t total = 0;
-        for (SimObject *obj : objects_) {
-            if (obs::MetricGroup *stats = obj->statGroup()) {
-                auto it = stats->counters().find(name);
-                if (it != stats->counters().end())
-                    total += it->second.value();
-            }
-        }
-        return total;
-    }
-
-    /** Render every registered object's statistics (gem5-style). */
-    std::string
-    dumpStats()
-    {
-        std::string out;
-        for (SimObject *obj : objects_) {
-            if (obs::MetricGroup *stats = obj->statGroup())
-                out += stats->dump();
-        }
-        return out;
-    }
-
   private:
-    friend class SimObject;
-    void registerObject(SimObject *obj) { objects_.push_back(obj); }
-
     EventQueue eventq_;
-    std::vector<SimObject *> objects_;
     obs::MetricsRegistry metrics_;
     obs::Tracer tracer_;
 };
-
-inline
-SimObject::SimObject(System &sys, std::string name)
-    : sys_(sys), name_(std::move(name))
-{
-    sys_.registerObject(this);
-}
 
 inline Tick
 SimObject::curTick() const

@@ -43,9 +43,10 @@ Adaptor::Handles::Handles(obs::MetricGroup &g)
 {}
 
 Adaptor::Adaptor(sim::System &sys, std::string name, Tvm &tvm,
-                 const AdaptorConfig &config)
+                 const AdaptorConfig &config,
+                 const TenantWindows &windows)
     : sim::SimObject(sys, std::move(name)), tvm_(tvm), config_(config),
-      stats_(sys.metrics(), this->name()), s_(stats_),
+      windows_(windows), stats_(sys.metrics(), this->name()), s_(stats_),
       arq_(*this, tvm.bdf().raw(),
            [this](const pcie::TlpPtr &tlp) {
                tvm_.rootComplex().sendWrite(tlp);
@@ -87,10 +88,11 @@ Adaptor::hwInit()
 }
 
 void
-Adaptor::establishSession(const Bytes &sessionSecret)
+Adaptor::establishSession(const Bytes &sessionSecret,
+                          std::uint32_t ivExhaustionLimit)
 {
     keys_ = std::make_unique<trust::WorkloadKeyManager>(
-        sessionSecret, config_.ivExhaustionLimit);
+        sessionSecret, ivExhaustionLimit);
     signer_.setKey(
         crypto::kdf(sessionSecret, {}, "ccai-a3-integrity", 32));
     configCipher_.emplace(
@@ -224,7 +226,7 @@ Adaptor::prepareH2d(std::shared_ptr<const Bytes> data,
         fatal("Adaptor: SC-terminated transfers are payload-free");
 
     Tick t0 = curTick();
-    Addr bounce = allocBounce(config_.h2dWindow, h2dCursor_, length);
+    Addr bounce = allocBounce(windows_.h2d, h2dCursor_, length);
     std::uint64_t chunks =
         (length + config_.chunkBytes - 1) / config_.chunkBytes;
     std::uint64_t subtasks = (length + kSubtaskBytes - 1) / kSubtaskBytes;
@@ -347,7 +349,7 @@ Adaptor::prepareH2d(std::shared_ptr<const Bytes> data,
 Addr
 Adaptor::allocD2hBounce(std::uint64_t length)
 {
-    return allocBounce(config_.d2hWindow, d2hCursor_, length);
+    return allocBounce(windows_.d2h, d2hCursor_, length);
 }
 
 void
@@ -671,7 +673,7 @@ Adaptor::fetchRecordsBatched(
                 payload.size() >= 8 ? loadLe64(payload.data()) : 0;
             s_.ioReads.inc(1);
 
-            const pcie::AddrRange win = config_.metaWindow;
+            const pcie::AddrRange win = windows_.meta;
             const std::uint64_t nslots =
                 mm::metaring::slotCount(win.size);
             // The tail is host-influenced (a forged or short
@@ -802,22 +804,6 @@ Adaptor::endTask(bool softResetSupported)
         keys_->destroy();
     keys_.reset();
     s_.tasksEnded.inc();
-}
-
-void
-Adaptor::reset()
-{
-    keys_.reset();
-    configCipher_.reset();
-    drbg_.reset();
-    h2dCursor_ = d2hCursor_ = 0;
-    nextChunkId_ = 1;
-    metaHead_ = 0;
-    metaPending_.clear();
-    cpuBusyUntil_ = 0;
-    arq_.restart();
-    ++sessionEpoch_; // retire queued CPU continuations
-    stats_.reset();
 }
 
 } // namespace ccai::tvm

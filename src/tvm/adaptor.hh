@@ -65,17 +65,6 @@ struct AdaptorConfig
      * sweep as the overhead rise beyond ~12 sequences).
      */
     std::uint64_t d2hSlotBytes = 1 * kMiB;
-    /** IV-counter rotation threshold (must match the PCIe-SC's). */
-    std::uint32_t ivExhaustionLimit = 0xffff0000u;
-
-    /**
-     * This tenant's slices of the shared bounce/metadata regions
-     * (multi-tenant platforms partition them; the defaults give a
-     * single tenant everything, matching the paper's prototype).
-     */
-    pcie::AddrRange h2dWindow = pcie::memmap::kBounceH2d;
-    pcie::AddrRange d2hWindow = pcie::memmap::kBounceD2h;
-    pcie::AddrRange metaWindow = pcie::memmap::kMetadataBuffer;
 
     /** Fully non-optimized configuration (Figure 11 baseline). */
     static AdaptorConfig
@@ -88,6 +77,18 @@ struct AdaptorConfig
         c.cryptoThreads = 1;
         return c;
     }
+};
+
+/**
+ * One tenant's slices of the shared bounce and metadata regions. The
+ * Platform carves them per tenant slot; a single-tenant platform
+ * gives slot 0 the whole regions, matching the paper's prototype.
+ */
+struct TenantWindows
+{
+    pcie::AddrRange h2d;
+    pcie::AddrRange d2h;
+    pcie::AddrRange meta;
 };
 
 /*
@@ -127,7 +128,7 @@ class Adaptor : public sim::SimObject
     using DataCb = std::function<void(Bytes)>;
 
     Adaptor(sim::System &sys, std::string name, Tvm &tvm,
-            const AdaptorConfig &config = {});
+            const AdaptorConfig &config, const TenantWindows &windows);
 
     /**
      * hw_init: reset interaction state with the PCIe-SC and send the
@@ -139,9 +140,12 @@ class Adaptor : public sim::SimObject
     /**
      * Establish the confidential session from the attestation
      * secret: derive workload keys, the A3 signing key, and the
-     * filter-config key (must match PcieSc::establishTenant).
+     * filter-config key (must match PcieSc::establishTenant). The
+     * H2D keys this end seals with rotate to a new epoch when their
+     * IV counter reaches @p ivExhaustionLimit.
      */
-    void establishSession(const Bytes &sessionSecret);
+    void establishSession(const Bytes &sessionSecret,
+                          std::uint32_t ivExhaustionLimit);
 
     /**
      * Crash recovery: tear the session down without the end-task
@@ -223,15 +227,12 @@ class Adaptor : public sim::SimObject
     void refreshPolicy(DoneCb done);
 
     const AdaptorConfig &config() const { return config_; }
-    void setConfig(const AdaptorConfig &config) { config_ = config; }
+    const TenantWindows &windows() const { return windows_; }
     trust::WorkloadKeyManager *keyManager() { return keys_.get(); }
     obs::MetricGroup &stats() { return stats_; }
-    obs::MetricGroup *statGroup() override { return &stats_; }
 
     /** CPU time to encrypt/decrypt @p bytes with current config. */
     Tick cryptoDelay(std::uint64_t bytes) const;
-
-    void reset() override;
 
   private:
     /** In-flight state of one D2H collection under retry. */
@@ -286,6 +287,7 @@ class Adaptor : public sim::SimObject
 
     Tvm &tvm_;
     AdaptorConfig config_;
+    TenantWindows windows_;
 
     std::unique_ptr<trust::WorkloadKeyManager> keys_;
     backend::SignIntegrityEngine signer_; ///< A3 MAC computation

@@ -53,12 +53,4 @@ XpuDriver::fence(std::function<void()> done)
     submitCommand(cmd);
 }
 
-void
-XpuDriver::reset()
-{
-    nextSlot_ = 0;
-    nextCmdId_ = 1;
-    submitted_ = 0;
-}
-
 } // namespace ccai::tvm

@@ -43,8 +43,6 @@ class XpuDriver : public sim::SimObject
 
     std::uint64_t submitted() const { return submitted_; }
 
-    void reset() override;
-
   private:
     void mmioWrite(Addr addr, Bytes data);
 

@@ -31,6 +31,15 @@ Runtime::secureBurstBytes() const
         std::min<std::uint64_t>(chunk, xpu::XpuDevice::kDmaBurst));
 }
 
+std::uint64_t
+Runtime::maxPieceBytes() const
+{
+    if (mode_ != RuntimeMode::Secure)
+        return kMaxPieceBytes;
+    const TenantWindows &win = adaptor_->windows();
+    return std::min({kMaxPieceBytes, win.h2d.size, win.d2h.size});
+}
+
 Addr
 Runtime::allocStaging(std::uint64_t length)
 {
@@ -67,7 +76,7 @@ Runtime::h2dPiece(Addr devAddr, std::shared_ptr<const Bytes> data,
         done();
         return;
     }
-    std::uint64_t length = std::min(total - offset, kMaxPieceBytes);
+    std::uint64_t length = std::min(total - offset, maxPieceBytes());
     auto next = [this, devAddr, data, offset, length, total, kind,
                  done = std::move(done)]() mutable {
         h2dPiece(devAddr, std::move(data), offset + length, total,
@@ -145,7 +154,7 @@ Runtime::d2hPiece(Addr devAddr, std::uint64_t offset,
         done(std::move(*acc));
         return;
     }
-    std::uint64_t length = std::min(total - offset, kMaxPieceBytes);
+    std::uint64_t length = std::min(total - offset, maxPieceBytes());
     memcpyD2HPiece(
         devAddr + offset, length, synthetic,
         [this, devAddr, offset, length, total, synthetic, kind, acc,
@@ -243,12 +252,6 @@ void
 Runtime::synchronize(DoneCb done)
 {
     driver_.fence(std::move(done));
-}
-
-void
-Runtime::reset()
-{
-    stagingCursor_ = 0;
 }
 
 } // namespace ccai::tvm

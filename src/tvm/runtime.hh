@@ -99,8 +99,6 @@ class Runtime : public sim::SimObject
     /** Block until all queued work retired. */
     void synchronize(DoneCb done);
 
-    void reset() override;
-
   private:
     Addr allocStaging(std::uint64_t length);
     /**
@@ -110,6 +108,12 @@ class Runtime : public sim::SimObject
      * leaves the device default).
      */
     std::uint32_t secureBurstBytes() const;
+    /**
+     * Largest piece one transfer is split into: kMaxPieceBytes,
+     * and in secure mode no more than the tenant's H2D and D2H
+     * bounce windows, so a piece never spills into a neighbour's.
+     */
+    std::uint64_t maxPieceBytes() const;
     /** Transfer [offset, total) of @p data (nullptr: synthetic) one
      * piece after another. */
     void h2dPiece(Addr devAddr, std::shared_ptr<const Bytes> data,
@@ -128,10 +132,8 @@ class Runtime : public sim::SimObject
                   TransferKind kind, std::shared_ptr<Bytes> acc,
                   DataCb done);
 
-    /**
-     * Transfers larger than this are split into sequential pieces
-     * so each fits comfortably inside the bounce windows.
-     */
+    /** Transfers larger than this are split into sequential
+     * pieces. */
     static constexpr std::uint64_t kMaxPieceBytes = 256 * kMiB;
 
     Tvm &tvm_;

@@ -85,10 +85,4 @@ Tvm::memcpyDelay(std::uint64_t bytes) const
     return secondsToTicks(bytes / kMemcpyBytesPerSec);
 }
 
-void
-Tvm::reset()
-{
-    irqWaiters_.clear();
-}
-
 } // namespace ccai::tvm

@@ -67,8 +67,6 @@ class Tvm : public sim::SimObject
     /** Time to copy @p bytes between private and shared memory. */
     Tick memcpyDelay(std::uint64_t bytes) const;
 
-    void reset() override;
-
   private:
     void handleMsi(const pcie::TlpPtr &tlp);
 

@@ -393,13 +393,4 @@ XpuDevice::coldReset()
     s_.resets.inc();
 }
 
-void
-XpuDevice::reset()
-{
-    coldReset();
-    retired_ = 0;
-    nextTag_ = 0;
-    stats_.reset();
-}
-
 } // namespace ccai::xpu

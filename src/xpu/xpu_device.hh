@@ -108,9 +108,6 @@ class XpuDevice : public sim::SimObject, public pcie::PcieNode
     void setCostModel(const backend::CostModel *cost) { cost_ = cost; }
 
     obs::MetricGroup &stats() { return stats_; }
-    obs::MetricGroup *statGroup() override { return &stats_; }
-
-    void reset() override;
 
   private:
     void handleMmioWrite(const pcie::TlpPtr &tlp);

@@ -581,7 +581,7 @@ TEST(CrashResidue, RecoveryScrubsVictimDataBeforeNextTenant)
     EXPECT_EQ(p.recovery()->episodes().back().finalState,
               RecoveryState::Resuming);
     EXPECT_FALSE(secondDone);
-    EXPECT_GT(p.system().sumCounter("env_guard_cleans"), 0u);
+    EXPECT_GT(p.metrics().sumCounter("env_guard_cleans"), 0u);
 
     // The reset scrubbed every byte the victim ever placed there.
     Bytes resident = p.xpu().vram().read(kVictimOff, secret.size());

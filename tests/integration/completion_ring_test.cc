@@ -108,7 +108,7 @@ TEST(CompletionRing, RecordLongerThanItsTransferIsRejected)
 
     // Step until the PCIe-SC has written the first record of this
     // readback into the pinned ring, before the Adaptor reaps it.
-    const AddrRange win = p.adaptor()->config().metaWindow;
+    const AddrRange win = p.adaptor()->windows().meta;
     std::uint8_t *slot = p.hostMemory().raw(
         win.base + mm::metaring::slotOffset(
                        0, mm::metaring::slotCount(win.size)),
@@ -121,11 +121,11 @@ TEST(CompletionRing, RecordLongerThanItsTransferIsRejected)
     // The host stretches the record to four times the transfer.
     storeBe32(slot + 24, 64 * kKiB);
     const std::uint64_t off =
-        loadLe64(slot + 16) - p.adaptor()->config().d2hWindow.base;
+        loadLe64(slot + 16) - p.adaptor()->windows().d2h.base;
     p.run();
 
     ASSERT_TRUE(delivered);
-    EXPECT_EQ(p.system().sumCounter("d2h_bad_records"), 1u);
+    EXPECT_EQ(p.metrics().sumCounter("d2h_bad_records"), 1u);
     // The chunk counts as missing: every other chunk arrives, and
     // not one byte of the rejected one.
     Bytes expect(data.begin(), data.begin() + off);
@@ -167,7 +167,7 @@ TEST(CompletionRing, ForgedTailOutsideTheRingReapsNothing)
         // whose reads would walk off the end of the PCIe-SC's BAR.
         std::uint64_t tail = mm::screg::kRecordWindowSlots + 1;
         if (c.ringMode) {
-            const AddrRange win = p.adaptor()->config().metaWindow;
+            const AddrRange win = p.adaptor()->windows().meta;
             const std::uint64_t head = loadLe64(p.hostMemory().raw(
                 win.base + mm::metaring::kTailOffset, 8));
             ASSERT_GT(head, 0u);
@@ -182,11 +182,11 @@ TEST(CompletionRing, ForgedTailOutsideTheRingReapsNothing)
         forgeNextTailRead(p, evil, tail);
         p.run();
 
-        EXPECT_EQ(p.system().sumCounter("meta_ring_bad_tail"), 1u)
+        EXPECT_EQ(p.metrics().sumCounter("meta_ring_bad_tail"), 1u)
             << c.name;
         // Nothing was reaped from the forged tail; the re-fetch reads
         // the real one and the readback still completes intact.
-        EXPECT_GE(p.system().sumCounter("record_fetch_retries"), 1u)
+        EXPECT_GE(p.metrics().sumCounter("record_fetch_retries"), 1u)
             << c.name;
         EXPECT_EQ(second, data) << c.name;
     }
@@ -211,7 +211,7 @@ TEST(CompletionRing, ShortRecordCompletionIsDroppedAndReFetched)
     forgeNextRead(p, evil, mm::screg::kRecordWindow, Bytes(8, 0xee));
     p.run();
 
-    EXPECT_EQ(p.system().sumCounter("d2h_bad_records"), 1u);
-    EXPECT_GE(p.system().sumCounter("record_fetch_retries"), 1u);
+    EXPECT_EQ(p.metrics().sumCounter("d2h_bad_records"), 1u);
+    EXPECT_GE(p.metrics().sumCounter("record_fetch_retries"), 1u);
     EXPECT_EQ(back, data);
 }

@@ -99,7 +99,7 @@ TEST(EdgeCases, StatsDumpAggregatesComponents)
     p.run();
     ASSERT_TRUE(done);
 
-    std::string dump = p.system().dumpStats();
+    std::string dump = p.metrics().dump();
     for (const char *key :
          {"pcie_sc.down_tlps", "adaptor.h2d_bytes", "rc.writes_sent",
           "xpu.commands_queued", "root_switch.forwarded"}) {

@@ -19,8 +19,7 @@ TEST(IvRotationLive, ManyChunksCrossEpochBoundaryCorrectly)
     // generating side; the consuming side must keep decrypting via
     // the record's epoch id.
     PlatformConfig cfg{.secure = true};
-    cfg.scConfig.ivExhaustionLimit = 3;
-    cfg.adaptorConfig.ivExhaustionLimit = 3;
+    cfg.ivExhaustionLimit = 3;
     Platform platform(cfg);
     ASSERT_TRUE(platform.establishTrust().ok());
 
@@ -54,8 +53,7 @@ TEST(IvRotationLive, ManyChunksCrossEpochBoundaryCorrectly)
 TEST(IvRotationLive, RepeatedTransfersKeepRotating)
 {
     PlatformConfig cfg{.secure = true};
-    cfg.scConfig.ivExhaustionLimit = 2;
-    cfg.adaptorConfig.ivExhaustionLimit = 2;
+    cfg.ivExhaustionLimit = 2;
     Platform platform(cfg);
     ASSERT_TRUE(platform.establishTrust().ok());
 

@@ -93,7 +93,7 @@ runSoak(std::uint64_t caseSeed, double rate,
         << "D2H corrupted at seed=" << caseSeed << " rate=" << rate;
 
     for (const char *name : kScheduleCounters)
-        out.counters[name] = p.system().sumCounter(name);
+        out.counters[name] = p.metrics().sumCounter(name);
     return out;
 }
 
@@ -168,9 +168,9 @@ TEST_F(FaultSoak, AcceptanceOnePercentDropAndCorrupt)
         ASSERT_EQ(got, secret) << "iter " << iter;
     }
 
-    EXPECT_GT(p.system().sumCounter("faults_injected"), 0u);
-    EXPECT_GT(p.system().sumCounter("faults_recovered"), 0u);
-    EXPECT_EQ(p.system().sumCounter("faults_fatal"), 0u);
+    EXPECT_GT(p.metrics().sumCounter("faults_injected"), 0u);
+    EXPECT_GT(p.metrics().sumCounter("faults_recovered"), 0u);
+    EXPECT_EQ(p.metrics().sumCounter("faults_fatal"), 0u);
 }
 
 TEST_F(FaultSoak, IdenticalSeedsProduceIdenticalSchedulesAndStats)
@@ -201,5 +201,5 @@ TEST_F(FaultSoak, KernelLaunchSurvivesLossyFabric)
 
     EXPECT_TRUE(synced);
     EXPECT_EQ(p.xpu().stats().counterHandle("kernels").value(), 1u);
-    EXPECT_EQ(p.system().sumCounter("faults_fatal"), 0u);
+    EXPECT_EQ(p.metrics().sumCounter("faults_fatal"), 0u);
 }

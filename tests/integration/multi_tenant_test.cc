@@ -115,14 +115,11 @@ TEST_F(MultiTenantTest, BothTenantsRoundTripTheirOwnData)
 
 TEST_F(MultiTenantTest, BounceWindowsAreDisjoint)
 {
-    const auto &cfg_a = platform->adaptor()->config();
-    const auto &cfg_b = tenantB->adaptor->config();
-    EXPECT_EQ(cfg_a.h2dWindow.base + cfg_a.h2dWindow.size,
-              cfg_b.h2dWindow.base);
-    EXPECT_EQ(cfg_a.d2hWindow.base + cfg_a.d2hWindow.size,
-              cfg_b.d2hWindow.base);
-    EXPECT_EQ(cfg_a.metaWindow.base + cfg_a.metaWindow.size,
-              cfg_b.metaWindow.base);
+    const auto &win_a = platform->adaptor()->windows();
+    const auto &win_b = tenantB->adaptor->windows();
+    EXPECT_EQ(win_a.h2d.base + win_a.h2d.size, win_b.h2d.base);
+    EXPECT_EQ(win_a.d2h.base + win_a.d2h.size, win_b.d2h.base);
+    EXPECT_EQ(win_a.meta.base + win_a.meta.size, win_b.meta.base);
 }
 
 TEST_F(MultiTenantTest, TenantCannotDecryptPeerResults)
@@ -143,7 +140,7 @@ TEST_F(MultiTenantTest, TenantCannotDecryptPeerResults)
     ASSERT_EQ(got, result);
 
     // Ciphertext of A's first chunk, as left in A's bounce window.
-    Addr a_window = platform->adaptor()->config().d2hWindow.base;
+    Addr a_window = platform->adaptor()->windows().d2h.base;
     Bytes ciphertext =
         platform->hostMemory().read(a_window, result.size());
     ASSERT_NE(ciphertext, result);
@@ -282,4 +279,41 @@ TEST_F(MultiTenantTest, ThirdTenantRejectedWhenSlotsFull)
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_DEATH(platform->addTenant(Bdf{0x00, 0x05, 0x0}),
                  "no free tenant slot");
+}
+
+TEST(TenantSlices, LargeTransferStaysInsideItsSlice)
+{
+    // Sixteen slots give each tenant a 32 MiB slice of each bounce
+    // region. A 33 MiB round trip through slot 0 must be split into
+    // pieces that fit the slice: a piece that spills over lands in
+    // slot 1's windows, and the PCIe-SC drops device writes that
+    // match no tenant's D2H window.
+    PlatformConfig cfg{.secure = true};
+    cfg.maxTenants = 16;
+    Platform p(cfg);
+    ASSERT_TRUE(p.establishTrust().ok());
+    const tvm::TenantWindows &win = p.adaptor()->windows();
+    ASSERT_EQ(win.h2d.size, 32 * kMiB);
+    ASSERT_EQ(win.d2h.size, 32 * kMiB);
+
+    sim::Rng rng(33);
+    const Bytes data = rng.bytes(33 * kMiB);
+    Bytes got;
+    p.runtime().memcpyH2D(mm::kXpuVram.base, data, data.size(), [&] {
+        p.runtime().memcpyD2H(mm::kXpuVram.base, data.size(), false,
+                              [&](Bytes d) { got = std::move(d); });
+    });
+    p.run();
+
+    // Compared by hand: a failing EXPECT_EQ would print 33 MiB.
+    EXPECT_EQ(got.size(), data.size());
+    EXPECT_TRUE(got == data);
+    EXPECT_EQ(p.pcieSc()
+                  ->stats()
+                  .counterHandle("a2_unknown_tenant")
+                  .value(),
+              0u);
+    // Slot 1's H2D slice was never written.
+    EXPECT_TRUE(p.hostMemory().read(win.h2d.base + win.h2d.size,
+                                    4 * kKiB) == Bytes(4 * kKiB, 0));
 }

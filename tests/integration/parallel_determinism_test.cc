@@ -83,7 +83,7 @@ runMix(int width)
     img.d2hCipher =
         p.hostMemory().read(mm::kBounceD2h.base, result.size());
     for (const char *name : kDataPlaneCounters)
-        img.counters[name] = p.system().sumCounter(name);
+        img.counters[name] = p.metrics().sumCounter(name);
     return img;
 }
 
@@ -132,8 +132,8 @@ TEST(ParallelDataPlane, RuleTlbServesSteadyStateTraffic)
     // never classifies under a stale policy (generation-checked).
     sc::PacketFilter &filter = p.pcieSc()->filter();
     EXPECT_GE(filter.tlbHitRate(), 0.9);
-    EXPECT_EQ(p.system().sumCounter("a1_blocked"), 0u);
-    EXPECT_EQ(p.system().sumCounter("a2_integrity_failures"), 0u);
+    EXPECT_EQ(p.metrics().sumCounter("a1_blocked"), 0u);
+    EXPECT_EQ(p.metrics().sumCounter("a2_integrity_failures"), 0u);
 }
 
 TEST(ParallelDataPlane, ChunkRetryHealsTagFailuresAtFullWidth)
@@ -165,6 +165,6 @@ TEST(ParallelDataPlane, ChunkRetryHealsTagFailuresAtFullWidth)
 
     EXPECT_EQ(p.xpu().vram().read(0, secret.size()), secret);
     EXPECT_EQ(got, secret);
-    EXPECT_GT(p.system().sumCounter("faults_injected"), 0u);
-    EXPECT_EQ(p.system().sumCounter("faults_fatal"), 0u);
+    EXPECT_GT(p.metrics().sumCounter("faults_injected"), 0u);
+    EXPECT_EQ(p.metrics().sumCounter("faults_fatal"), 0u);
 }

@@ -169,7 +169,7 @@ runChaos(std::uint64_t caseSeed, double perSec, Tick horizon)
     out.schedule = rec.injector().schedule();
     out.episodes = rec.episodes();
     for (const char *name : kReplayCounters)
-        out.counters[name] = p.system().sumCounter(name);
+        out.counters[name] = p.metrics().sumCounter(name);
 
     // The CI chaos soak sets CCAI_CHAOS_TRACE_DIR; each run then
     // leaves a Perfetto-loadable span trace behind, uploaded as a

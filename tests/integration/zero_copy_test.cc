@@ -72,9 +72,9 @@ TEST(ZeroCopy, PinnedWindowsTakeZeroStagedCopies)
         runMixedTraffic(p);
 
         // The transfers really ran chunked...
-        EXPECT_GT(p.system().sumCounter("h2d_chunks"), 1u)
+        EXPECT_GT(p.metrics().sumCounter("h2d_chunks"), 1u)
             << "threads " << threads;
-        EXPECT_GT(p.system().sumCounter("d2h_bytes"), 0u);
+        EXPECT_GT(p.metrics().sumCounter("d2h_bytes"), 0u);
         // ...and not one payload byte went through sparse host
         // memory: every seal/open happened in the DMA arenas.
         EXPECT_EQ(p.hostMemory().residentPages(), 0u)

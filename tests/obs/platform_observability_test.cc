@@ -115,7 +115,7 @@ TEST(PlatformObservability, DataCountersInvariantAcrossWidths)
              {"h2d_bytes", "d2h_bytes", "h2d_chunks", "signed_writes",
               "a1_blocked", "a2_integrity_failures", "tasks_ended",
               "d2h_records"})
-            os << name << '=' << p.system().sumCounter(name) << '\n';
+            os << name << '=' << p.metrics().sumCounter(name) << '\n';
         return os.str();
     };
     std::string narrow = countersOf(1);

@@ -242,24 +242,3 @@ TEST(Determinism, LinkNameSaltsTheStream)
     }
     EXPECT_GT(differing, 0);
 }
-
-TEST(Determinism, ResetReplaysTheIdenticalDecisionStream)
-{
-    FaultConfig cfg = FaultConfig::uniform(99, 0.25);
-    FaultInjector inj(cfg, "replay_link");
-    Tlp probe = Tlp::makeMemWriteSynthetic(wellknown::kTvm, 0, 256);
-
-    auto capture = [&] {
-        std::vector<std::tuple<bool, bool, bool, Tick, bool>> out;
-        for (int i = 0; i < 150; ++i) {
-            FaultDecision d = inj.decide(probe, i * kTicksPerUs);
-            out.push_back({d.drop, d.corruptSilent, d.duplicate,
-                           d.extraDelay, d.reorderHold});
-        }
-        return out;
-    };
-    auto first = capture();
-    inj.reset();
-    auto second = capture();
-    EXPECT_EQ(first, second);
-}

@@ -2,8 +2,8 @@
  * @file
  * Admission-control tests: deterministic token-bucket refill and
  * burst semantics, the fixed decide order (device -> rate -> queue
- * -> deadline), the rerouted-bypass contract for crash-drain
- * re-placements, and reset-replay of every bucket.
+ * -> deadline) and the rerouted-bypass contract for crash-drain
+ * re-placements.
  */
 
 #include <gtest/gtest.h>
@@ -45,16 +45,6 @@ TEST(TokenBucket, RefillCapsAtBurst)
     EXPECT_TRUE(bucket.tryTake(later));
     EXPECT_TRUE(bucket.tryTake(later));
     EXPECT_FALSE(bucket.tryTake(later));
-}
-
-TEST(TokenBucket, ResetRefillsAndRestartsClock)
-{
-    TokenBucket bucket(1.0, 1.0);
-    EXPECT_TRUE(bucket.tryTake(5 * kTicksPerSec));
-    bucket.reset();
-    EXPECT_DOUBLE_EQ(bucket.tokens(), 1.0);
-    // The refill clock restarted at 0: tick 0 is legal again.
-    EXPECT_TRUE(bucket.tryTake(0));
 }
 
 TEST(Admission, RetryableClassification)
@@ -202,25 +192,4 @@ TEST(Admission, QueueShedStillConsumesToken)
     EXPECT_EQ(ctl.decide(ctx), AdmitDecision::ShedQueueFull);
     ctx.queueDepth = 0;
     EXPECT_EQ(ctl.decide(ctx), AdmitDecision::ShedRate);
-}
-
-TEST(Admission, ResetRefillsEveryBucket)
-{
-    AdmissionConfig cfg;
-    cfg.enabled = true;
-    cfg.tokenRatePerSec = 1.0;
-    cfg.tokenBurst = 1.0;
-    AdmissionController ctl(cfg, 2);
-
-    AdmitContext ctx = baseCtx();
-    for (std::uint32_t t = 0; t < 2; ++t) {
-        ctx.tenant = t;
-        EXPECT_EQ(ctl.decide(ctx), AdmitDecision::Admit);
-        EXPECT_EQ(ctl.decide(ctx), AdmitDecision::ShedRate);
-    }
-    ctl.reset();
-    for (std::uint32_t t = 0; t < 2; ++t) {
-        ctx.tenant = t;
-        EXPECT_EQ(ctl.decide(ctx), AdmitDecision::Admit);
-    }
 }

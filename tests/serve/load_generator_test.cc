@@ -193,28 +193,6 @@ TEST(LoadGenerator, MaxRequestsPerTenantCapsLoad)
     EXPECT_EQ(r.report.completed, r.report.issued);
 }
 
-TEST(LoadGenerator, ResetReplaysIdentically)
-{
-    const ServeConfig cfg = smallConfig();
-    sim::System sys;
-    LoadGenerator gen(sys, "serve", cfg);
-    gen.start();
-    sys.eventq().run();
-    const ServeReport first = gen.report();
-
-    sys.resetAll();
-    gen.start();
-    sys.eventq().run();
-    const ServeReport second = gen.report();
-
-    EXPECT_EQ(first.issued, second.issued);
-    EXPECT_EQ(first.completed, second.completed);
-    EXPECT_EQ(first.sloMisses, second.sloMisses);
-    EXPECT_EQ(first.ttftP50, second.ttftP50);
-    EXPECT_EQ(first.e2eP99, second.e2eP99);
-    EXPECT_EQ(first.simSeconds, second.simSeconds);
-}
-
 TEST(ServeRoofline, MatchesPacketPathOnAnIdleDevice)
 {
     // One vanilla request on an idle device, priced by the packet-

@@ -2,8 +2,8 @@
  * @file
  * Fleet-router tests: least-loaded placement with per-device service
  * estimates, deterministic tie-breaking, exclusion of crash victims
- * walking the recovery ladder, the whole-fleet-down case, reset-replay
- * of the routing books, and the min-tree against a linear scan.
+ * walking the recovery ladder, the whole-fleet-down case, resetting
+ * the routing books, and the min-tree against a linear scan.
  */
 
 #include <gtest/gtest.h>

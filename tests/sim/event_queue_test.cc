@@ -87,15 +87,6 @@ TEST(EventQueue, RunWithLimit)
     EXPECT_EQ(q.pending(), 2u);
 }
 
-TEST(EventQueue, ResetClearsState)
-{
-    EventQueue q;
-    q.schedule(5, [] {});
-    q.reset();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.now(), 0u);
-}
-
 TEST(EventQueue, SchedulingInPastPanics)
 {
     EventQueue q;
@@ -104,34 +95,12 @@ TEST(EventQueue, SchedulingInPastPanics)
     EXPECT_DEATH(q.schedule(5, [] {}), "past");
 }
 
-TEST(SimObject, RegistersWithSystem)
-{
-    System sys;
-
-    class Dummy : public SimObject
-    {
-      public:
-        using SimObject::SimObject;
-        int resets = 0;
-        void reset() override { ++resets; }
-    };
-
-    Dummy a(sys, "a"), b(sys, "b");
-    EXPECT_EQ(sys.objects().size(), 2u);
-    sys.resetAll();
-    EXPECT_EQ(a.resets, 1);
-    EXPECT_EQ(b.resets, 1);
-    EXPECT_EQ(a.name(), "a");
-}
-
 TEST(Stats, CounterBasics)
 {
     obs::Counter c;
     c.inc();
     c.inc(5);
     EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Stats, GroupDump)

@@ -83,14 +83,13 @@ TEST(Adaptor, SignedWritesCarryMonotonicSequence)
 
 TEST(Adaptor, CryptoDelayReflectsConfig)
 {
-    Platform p(PlatformConfig{.secure = true});
-    p.establishTrust();
-    auto *adaptor = p.adaptor();
+    Platform hw_platform(PlatformConfig{.secure = true});
+    PlatformConfig no_opt{.secure = true};
+    no_opt.adaptorConfig = tvm::AdaptorConfig::noOptimizations();
+    Platform sw_platform(no_opt);
 
-    Tick hw = adaptor->cryptoDelay(1 * kMiB);
-    tvm::AdaptorConfig no_opt = tvm::AdaptorConfig::noOptimizations();
-    adaptor->setConfig(no_opt);
-    Tick sw = adaptor->cryptoDelay(1 * kMiB);
+    Tick hw = hw_platform.adaptor()->cryptoDelay(1 * kMiB);
+    Tick sw = sw_platform.adaptor()->cryptoDelay(1 * kMiB);
     EXPECT_GT(sw, hw * 10) << "software AES must be much slower";
 }
 
